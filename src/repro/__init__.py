@@ -22,7 +22,8 @@ Package map:
 - :mod:`repro.client` — SDK flow and open-loop workload generation.
 - :mod:`repro.fabric` — network assembly and experiment execution.
 - :mod:`repro.metrics` — the paper's throughput/latency/block-time metrics.
-- :mod:`repro.analysis` — closed-form capacity model cross-checks.
+- :mod:`repro.analysis` — the stochastic phase model: closed-form capacity
+  and latency cross-checks.
 - :mod:`repro.experiments` — regeneration of every figure and table.
 """
 

@@ -1,12 +1,9 @@
 """Stochastic phase model: the pipeline as a network of queueing stations.
 
-Where :class:`~repro.analysis.capacity.CapacityModel` and
-:class:`~repro.analysis.latency.LatencyModel` predict single operating
-points (saturation rates, mean latency at a given load), this module
-composes the whole execute–order–validate pipeline from two-moment
-queueing stations and produces latency *distributions* — p50/p95/p99 per
-channel and per phase — plus a station-by-station utilization and
-capacity account, in closed form:
+This module composes the whole execute–order–validate pipeline from
+two-moment queueing stations and produces latency *distributions* —
+p50/p95/p99 per channel and per phase — plus a station-by-station
+utilization and capacity account, in closed form:
 
 - **execute** — each client process is an M/G/1 on its SDK event loop;
   endorsing peers are shared across channels, so each peer's proposal

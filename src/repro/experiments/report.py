@@ -63,7 +63,7 @@ def bottleneck_result(report: "BottleneckReport",
     """Convert a bottleneck report into the standard result table."""
     rows = [[usage.name, usage.phase or "-", usage.kind, usage.capacity,
              usage.utilization, usage.mean_queue, usage.max_queue,
-             usage.wait_p95]
+             usage.p95_wait]
             for usage in report.resources[:top]]
     notes = []
     if report.bottleneck is not None:

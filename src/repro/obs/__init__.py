@@ -1,20 +1,21 @@
 """Simulation-wide observability: span tracing, resource sampling,
 and automated bottleneck attribution.
 
-The subsystem has three cooperating parts:
+The subsystem has six cooperating parts:
 
 - :mod:`repro.obs.tracer` — hierarchical span tracing on the simulated
   clock, exportable as Chrome/Perfetto ``trace_event`` JSON;
 - :mod:`repro.obs.sampler` — named resource monitors recording
   time-weighted utilization, queue depth, and wait-time distributions,
   checkpointed by a sampler process;
-- :mod:`repro.obs.report` — :func:`bottleneck_report`, ranking resources
-  by utilization and attributing the saturated phase directly from
-  measurements (the paper's §V analysis as a feature);
+- :mod:`repro.obs.queueing` — the queueing observatory: one
+  per-resource statistic (:class:`ResourceQueueStats`) with
+  wait/service distributions and a Little's-law consistency check;
+- :mod:`repro.obs.report` — :func:`bottleneck_report`, ranking those
+  statistics by utilization and attributing the saturated phase
+  directly from measurements (the paper's §V analysis as a feature);
 - :mod:`repro.obs.critical_path` — per-transaction causal critical-path
   extraction and aggregated per-phase latency attribution;
-- :mod:`repro.obs.queueing` — the queueing observatory: per-resource
-  wait/service distributions with a Little's-law consistency check;
 - :mod:`repro.obs.regression` — the perf-regression gate behind
   ``repro obs-diff``.
 
@@ -33,6 +34,7 @@ from repro.obs.critical_path import (
 )
 from repro.obs.observe import Observability
 from repro.obs.queueing import (
+    SATURATION_THRESHOLD,
     QueueingReport,
     ResourceQueueStats,
     queueing_report,
@@ -45,9 +47,7 @@ from repro.obs.regression import (
     diff_files,
 )
 from repro.obs.report import (
-    SATURATION_THRESHOLD,
     BottleneckReport,
-    ResourceUsage,
     SpanStats,
     bottleneck_report,
     span_statistics,
@@ -75,7 +75,6 @@ __all__ = [
     "QueueingReport",
     "ResourceMonitor",
     "ResourceQueueStats",
-    "ResourceUsage",
     "Span",
     "SpanStats",
     "Tracer",

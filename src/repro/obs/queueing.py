@@ -37,6 +37,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Default relative tolerance for the Little's-law check.
 LITTLE_TOLERANCE = 0.05
 
+#: A resource above this utilization counts as saturated.
+SATURATION_THRESHOLD = 0.8
+
 #: Absolute occupancy floor below which the check passes trivially
 #: (idle resources: both sides indistinguishable from zero).
 _OCCUPANCY_FLOOR = 1e-9
@@ -69,6 +72,10 @@ class ResourceQueueStats:
     @property
     def throughput(self) -> float:
         return self.completions / self.window if self.window > 0 else 0.0
+
+    @property
+    def saturated(self) -> bool:
+        return self.utilization >= SATURATION_THRESHOLD
 
     def as_dict(self) -> dict[str, typing.Any]:
         data = dataclasses.asdict(self)
@@ -108,11 +115,15 @@ def resource_stats(monitor: "ResourceMonitor",
                    ) -> ResourceQueueStats:
     """Queueing statistics for one monitor over ``[start, end)``.
 
-    The Little's-law check compares lifetime accumulations, so it is
-    only performed for the full-lifetime window (``start`` and ``end``
-    both ``None``); windowed calls report occupancy but skip the check.
-    Store monitors (kind ``queue``) have no grant/release telemetry and
-    skip it too.
+    Utilization and mean queue depth cover the window; the wait and
+    service distributions (``mean_wait``, ``p95_wait``, ``mean_service``,
+    ``p95_service``) and ``max_queue`` are whole-lifetime even when a
+    window is given, because the monitor keeps one streaming histogram
+    per resource.  The Little's-law check compares lifetime
+    accumulations, so it is only performed for the full-lifetime window
+    (``start`` and ``end`` both ``None``); windowed calls report
+    occupancy but skip the check.  Store monitors (kind ``queue``) have
+    no grant/release telemetry and skip it too.
     """
     elapsed, busy, queue, _t0 = monitor._window(start, end)
     full_window = start is None and end is None

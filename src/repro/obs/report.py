@@ -16,36 +16,9 @@ import dataclasses
 import typing
 
 from repro.metrics.stats import StreamingHistogram
+from repro.obs.queueing import ResourceQueueStats, resource_stats
 from repro.obs.sampler import ResourceMonitor
 from repro.obs.tracer import Tracer
-
-#: A resource above this utilization counts as saturated.
-SATURATION_THRESHOLD = 0.8
-
-
-@dataclasses.dataclass
-class ResourceUsage:
-    """Windowed usage summary of one monitored resource."""
-
-    name: str
-    kind: str
-    phase: str
-    capacity: int
-    utilization: float
-    mean_queue: float
-    max_queue: int
-    grants: int
-    wait_mean: float
-    wait_p50: float
-    wait_p95: float
-    wait_p99: float
-
-    @property
-    def saturated(self) -> bool:
-        return self.utilization >= SATURATION_THRESHOLD
-
-    def as_dict(self) -> dict[str, typing.Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -70,13 +43,13 @@ class SpanStats:
 class BottleneckReport:
     """The attribution: ranked resources, span latencies, the verdict."""
 
-    window: tuple[float, float] | None
-    resources: list[ResourceUsage]          # ranked, most utilized first
+    window: tuple[float, float] | None      # None: whole run
+    resources: list[ResourceQueueStats]     # ranked, most utilized first
     spans: list[SpanStats]                  # alphabetical by span name
-    bottleneck: ResourceUsage | None        # top-ranked resource, if any
+    bottleneck: ResourceQueueStats | None   # top-ranked resource, if any
     saturated_phase: str                    # phase of the bottleneck or ""
 
-    def resource(self, name: str) -> ResourceUsage:
+    def resource(self, name: str) -> ResourceQueueStats:
         for usage in self.resources:
             if usage.name == name:
                 return usage
@@ -122,7 +95,7 @@ class BottleneckReport:
             lines.append(
                 f"{usage.name:<36} {usage.phase or '-':<9} "
                 f"{usage.utilization:>6.3f} {usage.mean_queue:>7.2f} "
-                f"{usage.max_queue:>5d} {usage.wait_p95:>8.4f}s")
+                f"{usage.max_queue:>5d} {usage.p95_wait:>8.4f}s")
         if self.spans:
             lines.append("")
             lines.append(f"{'span':<24} {'count':>7} {'mean':>9} "
@@ -133,25 +106,6 @@ class BottleneckReport:
                     f"{stats.mean:>8.4f}s {stats.p50:>8.4f}s "
                     f"{stats.p95:>8.4f}s {stats.p99:>8.4f}s")
         return "\n".join(lines)
-
-
-def _usage_for(monitor: ResourceMonitor, start: float | None,
-               end: float | None) -> ResourceUsage:
-    waits = monitor.waits
-    return ResourceUsage(
-        name=monitor.name,
-        kind=monitor.kind,
-        phase=monitor.phase,
-        capacity=monitor.capacity,
-        utilization=monitor.utilization(start, end),
-        mean_queue=monitor.mean_queue(start, end),
-        max_queue=monitor.max_queue,
-        grants=monitor.grants,
-        wait_mean=waits.mean,
-        wait_p50=waits.percentile(50),
-        wait_p95=waits.percentile(95),
-        wait_p99=waits.percentile(99),
-    )
 
 
 def span_statistics(tracer: Tracer, start: float | None = None,
@@ -204,11 +158,13 @@ def bottleneck_report(tracer: Tracer,
     """Rank resources by utilization and attribute the bottleneck.
 
     ``start``/``end`` bound the analysis to a measurement window (defaults
-    to each monitor's lifetime).  The bottleneck is the highest-utilization
-    server pool; the saturated phase is that resource's phase when its
-    utilization passes :data:`SATURATION_THRESHOLD`.
+    to each monitor's lifetime); when either is given, the report records
+    the effective window, filling a missing bound from the monitors.  The
+    bottleneck is the highest-utilization server pool; the saturated phase
+    is that resource's phase when its utilization passes
+    :data:`~repro.obs.queueing.SATURATION_THRESHOLD`.
     """
-    usages = [_usage_for(monitor, start, end)
+    usages = [resource_stats(monitor, start, end)
               for monitor in monitors.values()]
     # Server pools rank by utilization; pure queues sort below them by
     # mean depth (they cannot saturate, only reflect upstream pressure).
@@ -220,8 +176,13 @@ def bottleneck_report(tracer: Tracer,
     if bottleneck is not None and bottleneck.saturated:
         saturated_phase = bottleneck.phase or bottleneck.kind
     window = None
-    if start is not None and end is not None:
-        window = (start, end)
+    if start is not None or end is not None:
+        bounds = [monitor.bounds(start, end) for monitor in monitors.values()]
+        if not bounds:
+            bounds = [(0.0 if start is None else start,
+                       tracer.sim.now if end is None else end)]
+        window = (min(low for low, _high in bounds),
+                  max(high for _low, high in bounds))
     return BottleneckReport(
         window=window,
         resources=usages,

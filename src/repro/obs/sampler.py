@@ -193,12 +193,21 @@ class ResourceMonitor:
                  + (high.queue_integral - low.queue_integral) * fraction)
         return busy, queue
 
+    def bounds(self, start: float | None = None,
+               end: float | None = None) -> tuple[float, float]:
+        """The ``[start, end)`` a windowed statistic covers.
+
+        A missing bound defaults to the monitor's attach time (start) or
+        its latest accounting time (end).
+        """
+        self._advance()
+        return (self._attached_at if start is None else start,
+                self._last_time if end is None else end)
+
     def _window(self, start: float | None,
                 end: float | None) -> tuple[float, float, float, float]:
         """(elapsed, busy integral, queue integral, start) over a window."""
-        self._advance()
-        t0 = self._attached_at if start is None else start
-        t1 = self._last_time if end is None else end
+        t0, t1 = self.bounds(start, end)
         if t1 <= t0:
             return 0.0, 0.0, 0.0, t0
         busy0, queue0 = self._integrals_at(t0)

@@ -145,7 +145,7 @@ class CostModel:
                 raise ConfigurationError(f"{field_name} must be >= 1")
 
     # ------------------------------------------------------------------
-    # Derived capacities (used by the analytical model and tests)
+    # Derived capacities (used by the experiment tables and tests)
     # ------------------------------------------------------------------
 
     def client_capacity(self) -> float:
@@ -153,11 +153,6 @@ class CostModel:
         per_tx = (self.client_prep_cpu + self.client_collect_cpu
                   + self.client_submit_cpu)
         return self.client_threads / per_tx
-
-    def endorser_capacity(self) -> float:
-        """Max endorsements/s one peer can serve."""
-        slots = min(self.endorser_concurrency, self.peer_cores)
-        return slots / self.endorse_cpu
 
     def vscc_tx_cpu(self, endorsements: int) -> float:
         """VSCC CPU for one transaction carrying ``endorsements`` signatures.

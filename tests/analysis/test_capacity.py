@@ -1,119 +1,43 @@
-"""Tests for the analytical capacity model (and its match to the paper)."""
+"""Capacity anchors of the phase model against the paper's measured peaks."""
 
 import pytest
 
-from repro.analysis import CapacityModel
-from repro.chaincode.policy import resolve_policy_spec
-from repro.runtime.costs import CostModel
-
-PEERS = [f"peer{i}" for i in range(10)]
+from repro.analysis.phase_model import PhaseModel
+from repro.common.config import ChannelConfig, TopologyConfig, WorkloadConfig
 
 
-def capacities(spec, peers):
-    model = CapacityModel(CostModel())
-    policy = resolve_policy_spec(spec, PEERS[:peers])
-    return model.capacities(policy, peers)
+def predict(spec, peers):
+    """Phase-model prediction for one client per peer, as in Table II."""
+    topology = TopologyConfig(
+        num_endorsing_peers=peers,
+        channel=ChannelConfig(endorsement_policy=spec))
+    workload = WorkloadConfig(arrival_rate=100.0, num_clients=peers)
+    return PhaseModel(topology, workload).predict()
 
 
 def test_or10_bottleneck_is_validate_at_about_300():
-    caps = capacities("OR10", 10)
-    assert caps.bottleneck == "validate"
-    assert caps.system == pytest.approx(305, rel=0.05)
+    prediction = predict("OR10", 10)
+    assert prediction.bottleneck.startswith("validate:")
+    assert prediction.capacity == pytest.approx(305, rel=0.05)
 
 
 def test_and5_bottleneck_is_validate_at_about_210():
-    caps = capacities("AND5", 5)
-    assert caps.bottleneck == "validate"
-    assert caps.system == pytest.approx(210, rel=0.05)
+    prediction = predict("AND5", 5)
+    assert prediction.bottleneck.startswith("validate:")
+    assert prediction.capacity == pytest.approx(210, rel=0.05)
 
 
 def test_small_deployments_are_client_bound_at_50_per_peer():
-    # Table II: 1 peer -> 50 tps, 3 peers -> 150, under every policy.
+    # Table II: 1 peer -> 50 tps, 3 peers -> 150, under every policy,
+    # so endorsers never bind before clients.
     for spec in ["OR10", "OR3", "AND5", "AND3"]:
         for peers in [1, 3]:
-            caps = capacities(spec, peers)
-            assert caps.bottleneck == "client", (spec, peers)
-            assert caps.system == pytest.approx(50 * peers, rel=0.05)
+            prediction = predict(spec, peers)
+            assert prediction.bottleneck.startswith("client:"), (spec, peers)
+            assert prediction.capacity == pytest.approx(50 * peers, rel=0.05)
 
 
 def test_or10_at_5_peers_client_bound_near_250():
-    caps = capacities("OR10", 5)
-    assert caps.system == pytest.approx(250, rel=0.05)
-
-
-def test_ordering_never_binds():
-    for spec, peers in [("OR10", 10), ("AND5", 5)]:
-        caps = capacities(spec, peers)
-        assert caps.order > 5 * caps.system
-
-
-def test_and_execute_capacity_does_not_scale_with_targets():
-    # Under AND every target endorses every tx.
-    and3 = capacities("AND3", 3)
-    and5 = capacities("AND5", 5)
-    assert and5.execute == pytest.approx(and3.execute, rel=0.05)
-
-
-def test_or_execute_capacity_scales_with_targets():
-    or3 = capacities("OR3", 3)
-    or10 = capacities("OR10", 10)
-    assert or10.execute > 3 * or3.execute
-
-
-def test_analytical_matches_simulation_within_ten_percent():
-    # Cross-validation: the simulator's measured peaks (from the tab2
-    # experiment run) against the closed form.
-    from repro.experiments.runner import search_peak
-
-    caps = capacities("OR10", 10)
-    peak, _points = search_peak("solo", "OR10", 10,
-                                rates=[caps.system, caps.system * 1.2],
-                                duration=10)
-    assert peak == pytest.approx(caps.system, rel=0.10)
-
-
-def test_validate_capacity_includes_serial_path():
-    # The closed form must account for MVCC + commit, not just VSCC.
-    costs = CostModel()
-    model = CapacityModel(costs)
-    policy = resolve_policy_spec("OR10", PEERS)
-    vscc_only = (min(costs.validator_workers, costs.peer_cores)
-                 / costs.vscc_tx_cpu(1))
-    assert model.validate_capacity(policy) < vscc_only
-
-
-def test_deployment_capacities_multi_channel():
-    from repro.analysis import (deployment_capacities,
-                                deployment_system_capacity)
-    from repro.common.config import (ChannelConfig, TopologyConfig,
-                                     WorkloadConfig)
-
-    topology = TopologyConfig(
-        num_endorsing_peers=4,
-        channel=ChannelConfig(name="ch1"),
-        extra_channels=[ChannelConfig(name="ch2")])
-    workload = WorkloadConfig(arrival_rate=100.0, num_clients=4)
-    per_channel = deployment_capacities(topology, workload)
-    assert set(per_channel) == {"ch1", "ch2"}
-    for caps in per_channel.values():
-        assert caps.validate > 0
-        assert caps.system <= caps.validate
-
-    system = deployment_system_capacity(topology, workload)
-    # Aggregated capacity cannot exceed the sum of per-channel capacities
-    # and must be positive.
-    assert 0 < system.system
-    assert system.system <= sum(c.system for c in per_channel.values())
-
-
-def test_deployment_system_capacity_population_workload():
-    from repro.analysis import deployment_system_capacity
-    from repro.common.config import (PopulationConfig, TopologyConfig,
-                                     WorkloadConfig)
-
-    topology = TopologyConfig(num_endorsing_peers=4)
-    workload = WorkloadConfig(
-        arrival_rate=120.0,
-        population=PopulationConfig(num_users=5000, cohorts_per_channel=2))
-    caps = deployment_system_capacity(topology, workload)
-    assert 0 < caps.system < float("inf")
+    prediction = predict("OR10", 5)
+    assert prediction.bottleneck.startswith("client:")
+    assert prediction.capacity == pytest.approx(250, rel=0.05)

@@ -207,3 +207,49 @@ def test_peak_utilization_screen_matches_stations():
     prediction = model.predict()
     top = max(s.utilization for s in prediction.stations)
     assert peak == pytest.approx(top)
+
+
+def test_order_validate_band_matches_paper():
+    # Paper Table III order&validate: ~0.4-0.8 s across configurations.
+    # Only points clear of the knee: near it (280 tps) the M/G/1 block
+    # queue predicts 2.34 s against ~0.52 s simulated.
+    for rate in (40.0, 150.0):
+        prediction = _model(rate=rate).predict(with_capacity=False)
+        order_validate = prediction.order.mean + prediction.validate.mean
+        assert 0.3 <= order_validate <= 1.1, rate
+
+
+# ----------------------------------------------------------------------
+# Agreement with the simulator
+# ----------------------------------------------------------------------
+
+def _paper_model(policy, peers, rate):
+    from repro.experiments.runner import make_topology, make_workload
+
+    return PhaseModel(make_topology("solo", policy, peers),
+                      make_workload(rate))
+
+
+def test_analytical_matches_simulation_within_ten_percent():
+    # Cross-validation: the simulator's measured peak (the tab2 search)
+    # against the closed form.
+    from repro.experiments.runner import search_peak
+
+    capacity = _paper_model("OR10", 10, 100.0).predict().capacity
+    peak, _points = search_peak("solo", "OR10", 10,
+                                rates=[capacity, capacity * 1.2],
+                                duration=10)
+    assert peak == pytest.approx(capacity, rel=0.10)
+
+
+def test_model_matches_simulation_below_saturation():
+    from repro.experiments.runner import run_point
+
+    point = run_point("solo", "OR10", 150, peers=10, duration=15)
+    predicted = _paper_model("OR10", 10, 150.0).predict(with_capacity=False)
+    measured_execute = point.metrics.execute_latency
+    measured_ov = point.metrics.order_validate_latency
+    assert predicted.execute.mean == pytest.approx(measured_execute,
+                                                   rel=0.35)
+    assert (predicted.order.mean + predicted.validate.mean
+            == pytest.approx(measured_ov, rel=0.35))

@@ -40,13 +40,16 @@ def test_column_accessor():
 
 def test_bottleneck_result_renders_report_table():
     from repro.experiments.report import bottleneck_result
-    from repro.obs.report import BottleneckReport, ResourceUsage
+    from repro.obs.queueing import ResourceQueueStats
+    from repro.obs.report import BottleneckReport
 
     def usage(name, phase, util):
-        return ResourceUsage(
-            name=name, kind="pool", phase=phase, capacity=2,
-            utilization=util, mean_queue=3.0, max_queue=9, grants=100,
-            wait_mean=0.1, wait_p50=0.1, wait_p95=0.2, wait_p99=0.3)
+        return ResourceQueueStats(
+            name=name, kind="pool", phase=phase, capacity=2, window=7.0,
+            utilization=util, mean_queue=3.0, max_queue=9, arrivals=100,
+            completions=100, cancels=0, mean_wait=0.1, p95_wait=0.2,
+            mean_service=0.05, p95_service=0.1, occupancy_l=4.0,
+            lambda_w=0.0, little_error=None, little_ok=True)
 
     hot = usage("peer0.validator.workers", "validate", 0.95)
     report = BottleneckReport(

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.obs.report import (
-    SATURATION_THRESHOLD,
-    bottleneck_report,
-    span_statistics,
-)
+from repro.obs.queueing import SATURATION_THRESHOLD
+from repro.obs.report import bottleneck_report, span_statistics
 from repro.obs.sampler import watch_resource, watch_store
 from repro.obs.tracer import Tracer
 from repro.sim import Simulation
@@ -134,3 +131,20 @@ def test_report_render_and_as_dict():
         report.resource("nope")
     with pytest.raises(KeyError):
         report.span_stats("nope")
+
+
+def test_one_sided_window_is_recorded():
+    # A start-only window runs to the monitors' last accounting time and
+    # must be labelled as such, not as the whole run.
+    _sim, tracer, monitors = make_scenario()
+    report = bottleneck_report(tracer, monitors, start=5.0)
+    assert report.window == (5.0, 10.0)
+    text = report.render()
+    assert "whole run" not in text
+    assert "[5.00s, 10.00s)" in text
+    # Utilization covers the same window the label names.
+    hot = report.resource("peer0.validator.workers")
+    assert hot.utilization == monitors[hot.name].utilization(5.0, 10.0)
+    assert report.as_dict()["window"] == [5.0, 10.0]
+    # An end-only window starts at the monitors' attach time.
+    assert bottleneck_report(tracer, monitors, end=4.0).window == (0.0, 4.0)

@@ -28,13 +28,6 @@ def test_client_capacity_is_about_fifty_tps():
     assert CostModel().client_capacity() == pytest.approx(50.0, rel=0.05)
 
 
-def test_endorser_capacity_exceeds_client_capacity():
-    # Endorsement must be cheap relative to the client, or Table II's AND
-    # rows could not equal the OR rows at low peer counts.
-    costs = CostModel()
-    assert costs.endorser_capacity() > 4 * costs.client_capacity()
-
-
 def test_vscc_cost_grows_with_endorsements():
     costs = CostModel()
     assert costs.vscc_tx_cpu(5) > costs.vscc_tx_cpu(1)
