@@ -17,11 +17,69 @@ merge quietly.
 
 from __future__ import annotations
 
+import typing
+
 import pytest
 
 from repro.experiments import perfbench
 
 ALL_SCENARIOS = sorted(perfbench.SCENARIOS)
+
+
+def _fault_digest(name: str) -> str:
+    from repro.experiments.faults import run_digested_scenario
+
+    digest, _result = run_digested_scenario(name, seed=1,
+                                            keep_records=False)
+    return digest.hexdigest
+
+
+def _scale_digest(peers: int, channels: int, users: int,
+                  rate: float) -> str:
+    from repro.experiments.scale import (
+        SMOKE_DURATION,
+        make_scale_topology,
+        make_scale_workload,
+    )
+    from repro.fabric.network import FabricNetwork
+    from repro.sim.sanitizer import digest_run
+
+    network = FabricNetwork(
+        make_scale_topology(peers, channels),
+        make_scale_workload(users, rate, SMOKE_DURATION), seed=1,
+        observe=True, observe_sampler=False)
+    return digest_run(network.sim, network.run_workload,
+                      keep_records=False).hexdigest
+
+
+def _determinism_digest(orderer_kind: str, couchdb: bool = False) -> str:
+    from repro.common.config import StateDBConfig
+    from repro.experiments.determinism import run_digested_point
+
+    statedb = (StateDBConfig(kind="couchdb", cache=True, bulk=True,
+                             snapshot_interval=3) if couchdb else None)
+    digest, _metrics, _cp = run_digested_point(
+        orderer_kind, seed=1, keep_records=False, statedb=statedb,
+        workload_kind="conflict" if couchdb else "unique")
+    return digest.hexdigest
+
+
+#: Runs no perfbench scenario covers, pinned under their own keys: the
+#: three fault scenarios (seed 1, one run each), the two ``repro scale
+#: --smoke`` grid points (observed, sampler off) and the default
+#: ``repro check-determinism`` points (AND2, 60 tx/s, 4 s, observed).
+EXTRA_DIGESTS: dict[str, typing.Callable[[], str]] = {
+    "faults:kafka-broker-kill": lambda: _fault_digest("kafka-broker-kill"),
+    "faults:peer-wipe-recover": lambda: _fault_digest("peer-wipe-recover"),
+    "faults:raft-leader-kill": lambda: _fault_digest("raft-leader-kill"),
+    "scale:8p-2c-100000u": lambda: _scale_digest(8, 2, 100_000, 40.0),
+    "scale:16p-2c-1000000u": lambda: _scale_digest(16, 2, 1_000_000, 40.0),
+    "determinism:solo": lambda: _determinism_digest("solo"),
+    "determinism:kafka": lambda: _determinism_digest("kafka"),
+    "determinism:raft": lambda: _determinism_digest("raft"),
+    "determinism:solo-couchdb-conflict":
+        lambda: _determinism_digest("solo", couchdb=True),
+}
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -45,12 +103,31 @@ def test_smoke_digest_matches_golden(name: str, update_golden: bool) -> None:
         f"and repro perfbench --update-golden, and say so in the commit.")
 
 
+@pytest.mark.parametrize("key", sorted(EXTRA_DIGESTS))
+def test_extra_run_digest_matches_golden(key: str,
+                                         update_golden: bool) -> None:
+    digest = EXTRA_DIGESTS[key]()
+    goldens = perfbench.load_goldens()
+    if update_golden:
+        goldens[key] = digest
+        perfbench.save_goldens(goldens)
+        return
+    assert key in goldens, (
+        f"no committed golden for {key}; generate one deliberately with "
+        f"pytest tests/fabric --update-golden")
+    assert digest == goldens[key], (
+        f"trace digest for {key} diverged from the committed golden: the "
+        f"simulated event schedule of this run changed")
+
+
 def test_goldens_cover_both_scales_of_every_scenario() -> None:
-    """The goldens file must stay complete: 2 scales x every scenario."""
+    """The goldens file must stay complete: 2 scales x every perfbench
+    scenario, plus every pinned extra run."""
     goldens = perfbench.load_goldens()
     expected = {perfbench.golden_key(name, scale)
                 for name in perfbench.SCENARIOS
                 for scale in ("full", "smoke")}
+    expected |= set(EXTRA_DIGESTS)
     missing = expected - set(goldens)
     assert not missing, (
         f"golden digests missing for {sorted(missing)}; regenerate with "
