@@ -15,7 +15,7 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.experiments.report import ExperimentResult
-from repro.fabric.run import run_experiment
+from repro.fabric.run import Scenario, run
 
 
 def _run(bandwidth_mbps, tx_size, duration):
@@ -26,7 +26,7 @@ def _run(bandwidth_mbps, tx_size, duration):
         network_bandwidth=bandwidth_mbps * 1e6 / 8)
     workload = WorkloadConfig(arrival_rate=250, duration=duration,
                               warmup=3, cooldown=2, tx_size=tx_size)
-    return run_experiment(topology, workload, seed=1)
+    return run(Scenario(topology, workload, seed=1)).metrics
 
 
 def _ablation(mode):

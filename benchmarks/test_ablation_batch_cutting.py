@@ -16,7 +16,7 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.experiments.report import ExperimentResult
-from repro.fabric.run import run_experiment
+from repro.fabric.run import Scenario, run
 
 
 def _run(batch_size, batch_timeout, rate, duration):
@@ -27,7 +27,7 @@ def _run(batch_size, batch_timeout, rate, duration):
                               batch_timeout=batch_timeout))
     workload = WorkloadConfig(arrival_rate=rate, duration=duration,
                               warmup=3, cooldown=2)
-    return run_experiment(topology, workload, seed=1)
+    return run(Scenario(topology, workload, seed=1)).metrics
 
 
 def _ablation(mode):

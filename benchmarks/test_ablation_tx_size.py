@@ -11,14 +11,14 @@ from benchmarks.conftest import run_once
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import make_topology
 from repro.common.config import WorkloadConfig
-from repro.fabric.run import run_experiment
+from repro.fabric.run import Scenario, run
 
 
 def _run(tx_size, duration):
     topology = make_topology("solo", "OR10", 10)
     workload = WorkloadConfig(arrival_rate=250, duration=duration,
                               warmup=3, cooldown=2, tx_size=tx_size)
-    return run_experiment(topology, workload, seed=1)
+    return run(Scenario(topology, workload, seed=1)).metrics
 
 
 def _ablation(mode):

@@ -9,7 +9,7 @@ parallelism is what the measured ~300 tps cap is made of.
 from benchmarks.conftest import run_once
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import make_topology, make_workload
-from repro.fabric.run import run_experiment
+from repro.fabric.run import Scenario, run
 from repro.runtime.costs import CostModel
 
 
@@ -19,7 +19,8 @@ def _peak(workers, duration):
     for rate in (300, 420):
         topology = make_topology("solo", "OR10", 10)
         workload = make_workload(rate, duration)
-        metrics = run_experiment(topology, workload, seed=1, costs=costs)
+        metrics = run(Scenario(topology, workload, seed=1,
+                                  costs=costs)).metrics
         best = max(best, metrics.overall_throughput)
     return best
 

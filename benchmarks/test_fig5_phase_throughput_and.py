@@ -33,11 +33,17 @@ def test_fig5_phase_throughput_and(benchmark, show, mode):
 
 def test_and_peak_below_or_peak(benchmark, mode):
     # Finding 2, checked across both figures in one cheap comparison.
-    from repro.experiments.runner import run_point
+    from repro.experiments.runner import make_topology, make_workload
+    from repro.fabric.run import Scenario, run
 
     duration = 10.0 if mode == "quick" else 25.0
-    or_point = run_point("solo", "OR10", 350, duration=duration)
-    and_point = run_point("solo", "AND5", 350, duration=duration)
+
+    def validate_throughput(policy):
+        scenario = Scenario(make_topology("solo", policy, 10),
+                            make_workload(350, duration), seed=1)
+        return run(scenario).metrics.validate_throughput
+
+    or_validate = validate_throughput("OR10")
+    and_validate = validate_throughput("AND5")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert (and_point.metrics.validate_throughput
-            < or_point.metrics.validate_throughput)
+    assert and_validate < or_validate

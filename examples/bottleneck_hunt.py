@@ -10,8 +10,9 @@ the closed-form phase model in :mod:`repro.analysis`.
 Run:  python examples/bottleneck_hunt.py
 """
 
+from repro import Scenario, run
 from repro.analysis import PhaseModel
-from repro.experiments.runner import make_topology, make_workload, run_point
+from repro.experiments.runner import make_topology, make_workload
 
 PEERS = 10
 RATES = [100, 200, 300, 400]
@@ -23,8 +24,8 @@ def sweep(policy: str) -> None:
     print(f"{'rate':>6} {'execute':>9} {'order':>9} {'validate':>9} "
           f"{'latency':>9}")
     for rate in RATES:
-        point = run_point("solo", policy, rate, peers=PEERS, duration=12)
-        metrics = point.metrics
+        metrics = run(Scenario(make_topology("solo", policy, PEERS),
+                               make_workload(rate, 12), seed=1)).metrics
         print(f"{rate:6.0f} {metrics.execute_throughput:9.1f} "
               f"{metrics.order_throughput:9.1f} "
               f"{metrics.validate_throughput:9.1f} "

@@ -4,11 +4,11 @@ Hyperledger Fabric" (Wang & Chu, ICDCS 2020).
 
 Quickstart::
 
-    from repro import TopologyConfig, WorkloadConfig, run_experiment
+    from repro import Scenario, TopologyConfig, WorkloadConfig, run
 
     topology = TopologyConfig()              # 10 endorsing peers, solo, OR
     workload = WorkloadConfig(arrival_rate=150, duration=20)
-    metrics = run_experiment(topology, workload)
+    metrics = run(Scenario(topology, workload)).metrics
     print(metrics.overall_throughput, metrics.overall_latency)
 
 Package map:
@@ -20,7 +20,8 @@ Package map:
 - :mod:`repro.peer` — endorsement and the validate/commit pipeline.
 - :mod:`repro.orderer` — Solo, Kafka (+ ZooKeeper), and Raft services.
 - :mod:`repro.client` — SDK flow and open-loop workload generation.
-- :mod:`repro.fabric` — network assembly and experiment execution.
+- :mod:`repro.fabric` — network assembly, the :class:`Scenario` spec and
+  the one :func:`run` every experiment goes through.
 - :mod:`repro.metrics` — the paper's throughput/latency/block-time metrics.
 - :mod:`repro.analysis` — the stochastic phase model: closed-form capacity
   and latency cross-checks.
@@ -34,7 +35,7 @@ from repro.common.config import (
     WorkloadConfig,
 )
 from repro.fabric.network import FabricNetwork
-from repro.fabric.run import run_experiment
+from repro.fabric.run import RunResult, Scenario, run
 from repro.metrics.collector import PhaseMetrics
 from repro.runtime.costs import CostModel
 
@@ -46,8 +47,10 @@ __all__ = [
     "FabricNetwork",
     "OrdererConfig",
     "PhaseMetrics",
+    "RunResult",
+    "Scenario",
     "TopologyConfig",
     "WorkloadConfig",
-    "run_experiment",
+    "run",
     "__version__",
 ]

@@ -3,7 +3,9 @@
 Each experiment function returns an :class:`~repro.experiments.report.ExperimentResult`
 carrying the regenerated rows/series next to the paper's reported values, so
 the comparison the paper invites ("who wins, by what factor, where do the
-knees fall") is printed directly.
+knees fall") is printed directly.  Every simulated point is a
+:class:`~repro.fabric.run.Scenario` built from :func:`make_topology` and
+:func:`make_workload` and handed to :func:`repro.fabric.run.run`.
 
 | id   | paper artifact                                         |
 |------|--------------------------------------------------------|
@@ -26,17 +28,17 @@ from repro.experiments.figures import (
     run_fig8,
 )
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import SweepPoint, run_point, search_peak
+from repro.experiments.runner import make_topology, make_workload, search_peak
 from repro.experiments.tables import run_table1, run_table2_table3
 
 __all__ = [
     "ExperimentResult",
-    "SweepPoint",
+    "make_topology",
+    "make_workload",
     "run_fig2_fig3",
     "run_fig4_fig5",
     "run_fig6_fig7",
     "run_fig8",
-    "run_point",
     "run_table1",
     "run_table2_table3",
     "search_peak",

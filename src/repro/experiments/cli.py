@@ -48,35 +48,42 @@ def _run_trace(args) -> int:
     import json
 
     from repro.experiments.report import bottleneck_result
-    from repro.experiments.runner import run_traced_point
+    from repro.experiments.runner import (
+        DEFAULT_PEERS,
+        make_topology,
+        make_workload,
+    )
+    from repro.fabric.run import Scenario, run
     from repro.obs.critical_path import render_summary
     from repro.obs.queueing import render_queueing_report
 
-    point = run_traced_point(
-        orderer_kind=args.orderer, policy=args.policy, rate=args.rate,
-        duration=args.duration, seed=args.seed,
-        sample_interval=args.sample_interval)
+    point = run(Scenario(
+        make_topology(args.orderer, args.policy, DEFAULT_PEERS),
+        make_workload(args.rate, args.duration), seed=args.seed,
+        observe=True, sample_interval=args.sample_interval))
+    network = point.network
     title = (f"Bottleneck attribution ({args.orderer}, {args.policy}, "
              f"{args.rate:g} tx/s)")
-    result = bottleneck_result(point.report, title=title, top=args.top)
+    result = bottleneck_result(network.bottleneck_report(), title=title,
+                               top=args.top)
     print(result.render())
     print()
-    summary = point.network.critical_path_report()
+    summary = network.critical_path_report()
     print(render_summary(summary))
     print()
-    queueing = point.network.queueing_report()
+    queueing = network.queueing_report()
     print(render_queueing_report(queueing, top=args.top))
     print()
-    print(f"throughput: {point.throughput:.1f} tx/s committed "
-          f"(offered {args.rate:g} tx/s)")
+    print(f"throughput: {point.metrics.overall_throughput:.1f} tx/s "
+          f"committed (offered {args.rate:g} tx/s)")
     if args.trace_out:
-        point.write_chrome_trace(args.trace_out)
+        network.obs.write_chrome_trace(args.trace_out)
         print(f"chrome trace written to {args.trace_out} "
               f"(open in https://ui.perfetto.dev)")
     if args.summary_out:
         scenario = f"{args.orderer}-{args.policy}-{args.rate:g}tps"
-        data = point.network.trace_summary(scenario=scenario,
-                                           phase_metrics=point.metrics)
+        data = network.trace_summary(scenario=scenario,
+                                     phase_metrics=point.metrics)
         with open(args.summary_out, "w", encoding="utf-8") as handle:
             json.dump(data, handle, indent=2, sort_keys=True)
         print(f"trace summary written to {args.summary_out}")

@@ -35,11 +35,8 @@ import typing
 
 from repro.analysis.phase_model import PhaseModel
 from repro.experiments.farm import run_farm
-from repro.experiments.perfbench import (
-    GOLDEN_SEED,
-    SCENARIOS,
-    _build_network,
-)
+from repro.experiments.perfbench import GOLDEN_SEED, SCENARIOS
+from repro.fabric.run import run
 
 __all__ = ["TOLERANCES", "MetricCheck", "ScenarioCrossval",
            "CrossvalReport", "crossval_scenario", "run_crossval"]
@@ -114,11 +111,9 @@ class ScenarioCrossval:
 def crossval_scenario(name: str, seed: int = GOLDEN_SEED,
                       scale: str = "full") -> ScenarioCrossval:
     """Simulate one perfbench scenario and compare the model against it."""
-    scenario = SCENARIOS[name].at_scale(scale)
-    network = _build_network(scenario, seed)
-    metrics = network.run_workload()
-    model = PhaseModel(network.topology, network.workload_config,
-                       fit=None)
+    scenario = SCENARIOS[name].at_scale(scale).scenario(seed)
+    metrics = run(scenario).metrics
+    model = PhaseModel(scenario.topology, scenario.workload, fit=None)
     prediction = model.predict()
     latency = prediction.latency
     checks = [

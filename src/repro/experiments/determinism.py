@@ -1,9 +1,9 @@
 """End-to-end determinism checks over whole Fabric configurations.
 
 Glue between the generic runtime sanitizer
-(:mod:`repro.sim.sanitizer`) and the benchmark harness: build a network
-point, run it with an attached trace digest, run it *again* from the same
-seed, and demand byte-identical schedules and metrics.  This is what
+(:mod:`repro.sim.sanitizer`) and the benchmark harness: run a network
+point with an attached trace digest, run it *again* from the same seed,
+and demand byte-identical schedules and metrics.  This is what
 ``repro check-determinism`` executes for Solo, Kafka, and Raft.
 """
 
@@ -16,10 +16,10 @@ import json
 from repro.common.config import StateDBConfig
 from repro.experiments.runner import make_topology, make_workload
 from repro.fabric.network import FabricNetwork
+from repro.fabric.run import Scenario, run
 from repro.sim.sanitizer import (
     DeterminismReport,
     TraceDigest,
-    digest_run,
     run_twice_and_diff,
 )
 
@@ -80,38 +80,6 @@ def critical_path_hash(network: FabricNetwork) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def run_digested_point(orderer_kind: str, policy: str = "AND2",
-                       rate: float = CHECK_RATE,
-                       peers: int = CHECK_PEERS,
-                       duration: float = CHECK_DURATION,
-                       seed: int = 1,
-                       keep_records: bool = True,
-                       statedb: StateDBConfig | None = None,
-                       workload_kind: str = "unique"
-                       ) -> tuple[TraceDigest, dict[str, float], str]:
-    """Run one network point with the trace digest attached.
-
-    The run executes with tracing enabled (but without the sampler, which
-    would add its own timeout events), so the schedule digest doubles as
-    proof that the telemetry layer is schedule-neutral — it must match
-    the digests of untraced runs.  Returns the digest, the run's windowed
-    metrics as a dict, and the critical-path summary hash, so double-run
-    checks compare telemetry as well as schedules and metrics.
-    """
-    topology = make_topology(orderer_kind, policy, peers, statedb=statedb)
-    workload = make_workload(rate, duration)
-    network = FabricNetwork(topology, workload, seed=seed,
-                            workload_kind=workload_kind,
-                            observe=True, observe_sampler=False)
-    metrics: list[dict[str, float]] = []
-
-    def drive() -> None:
-        metrics.append(network.run_workload().as_dict())
-
-    digest = digest_run(network.sim, drive, keep_records=keep_records)
-    return digest, metrics[0], critical_path_hash(network)
-
-
 def check_point_determinism(orderer_kind: str, policy: str = "AND2",
                             rate: float = CHECK_RATE,
                             peers: int = CHECK_PEERS,
@@ -120,18 +88,29 @@ def check_point_determinism(orderer_kind: str, policy: str = "AND2",
                             keep_records: bool = True,
                             statedb: StateDBConfig | None = None,
                             workload_kind: str = "unique") -> PointCheck:
-    """Same-seed double run of one configuration, diffed."""
+    """Same-seed double run of one configuration, diffed.
+
+    Each run executes with tracing enabled (but without the sampler, which
+    would add its own timeout events), so the schedule digest doubles as
+    proof that the telemetry layer is schedule-neutral — it must match
+    the digests of untraced runs.  Metrics and critical-path summary
+    hashes are compared too, so the check covers telemetry as well as
+    schedules.
+    """
+    scenario = Scenario(make_topology(orderer_kind, policy, peers,
+                                      statedb=statedb),
+                        make_workload(rate, duration), seed=seed,
+                        workload_kind=workload_kind, observe=True)
     metrics_by_run: list[dict[str, float]] = []
     cp_hashes: list[str] = []
 
     def run_once() -> TraceDigest:
-        digest, metrics, cp_hash = run_digested_point(
-            orderer_kind, policy=policy, rate=rate, peers=peers,
-            duration=duration, seed=seed, keep_records=keep_records,
-            statedb=statedb, workload_kind=workload_kind)
-        metrics_by_run.append(metrics)
-        cp_hashes.append(cp_hash)
-        return digest
+        result = run(scenario,
+                     digest="records" if keep_records else "hash")
+        metrics_by_run.append(result.metrics.as_dict())
+        cp_hashes.append(critical_path_hash(result.network))
+        assert result.digest is not None
+        return result.digest
 
     report = run_twice_and_diff(run_once, keep_records=keep_records)
     # Identical schedules imply identical metrics; compare anyway so a

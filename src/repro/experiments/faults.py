@@ -29,11 +29,11 @@ from repro.common.config import StateDBConfig, WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.experiments.runner import make_topology
 from repro.fabric.network import FabricNetwork
+from repro.fabric.run import RunResult, Scenario, run
 from repro.faults import FaultSchedule, RecoveryReport
 from repro.sim.sanitizer import (
     DeterminismReport,
     TraceDigest,
-    digest_run,
     run_twice_and_diff,
 )
 
@@ -87,7 +87,7 @@ class FaultScenario:
                 .crash(self.target, at=self.crash_time)
                 .recover(self.target, at=self.recover_time))
 
-    def build_network(self, seed: int = 1) -> FabricNetwork:
+    def scenario(self, seed: int = 1) -> Scenario:
         topology = make_topology(self.orderer_kind, self.policy, self.peers,
                                  statedb=self.statedb)
         workload = WorkloadConfig(
@@ -97,9 +97,9 @@ class FaultScenario:
             endorsement_timeout=self.ordering_timeout,
             max_resubmits=self.max_resubmits,
             resubmit_backoff=self.resubmit_backoff)
-        return FabricNetwork(topology, workload, seed=seed,
-                             faults=self.build_schedule(),
-                             workload_kind=self.workload_kind)
+        return Scenario(topology, workload, seed=seed,
+                        workload_kind=self.workload_kind,
+                        faults=self.build_schedule())
 
 
 #: Re-election bounds: Raft elects within one randomized election timeout
@@ -140,6 +140,17 @@ class FaultScenarioResult:
     metrics: dict[str, float]
     recovery: RecoveryReport
     injected: list[tuple[float, str, str]]
+
+    @classmethod
+    def from_run(cls, scenario: FaultScenario, seed: int,
+                 outcome: RunResult) -> "FaultScenarioResult":
+        """Recovery analysis of one completed run of ``scenario``."""
+        network = outcome.network
+        injector = network.fault_injector
+        return cls(scenario=scenario, seed=seed,
+                   metrics=outcome.metrics.as_dict(),
+                   recovery=network.recovery_report(scenario.crash_time),
+                   injected=list(injector.injected) if injector else [])
 
     @property
     def reelection_ok(self) -> bool:
@@ -209,28 +220,9 @@ def get_scenario(name: str) -> FaultScenario:
 
 def run_fault_scenario(name: str, seed: int = 1) -> FaultScenarioResult:
     """Run one fault scenario and analyse its recovery."""
-    return run_digested_scenario(name, seed=seed, keep_records=False)[1]
-
-
-def run_digested_scenario(name: str, seed: int = 1,
-                          keep_records: bool = True
-                          ) -> tuple[TraceDigest, FaultScenarioResult]:
-    """Run one scenario with the trace digest attached (double-run input)."""
     scenario = get_scenario(name)
-    network = scenario.build_network(seed=seed)
-    results: list[FaultScenarioResult] = []
-
-    def drive() -> None:
-        metrics = network.run_workload().as_dict()
-        recovery = network.recovery_report(scenario.crash_time)
-        injector = network.fault_injector
-        results.append(FaultScenarioResult(
-            scenario=scenario, seed=seed, metrics=metrics,
-            recovery=recovery,
-            injected=list(injector.injected) if injector else []))
-
-    digest = digest_run(network.sim, drive, keep_records=keep_records)
-    return digest, results[0]
+    return FaultScenarioResult.from_run(scenario, seed,
+                                        run(scenario.scenario(seed)))
 
 
 @dataclasses.dataclass
@@ -261,18 +253,20 @@ class ScenarioCheck:
 def check_scenario_determinism(name: str, seed: int = 1,
                                keep_records: bool = True) -> ScenarioCheck:
     """Run one scenario twice from the same seed and diff everything."""
+    scenario = get_scenario(name)
     results: list[FaultScenarioResult] = []
 
     def run_once() -> TraceDigest:
-        digest, result = run_digested_scenario(
-            name, seed=seed, keep_records=keep_records)
-        results.append(result)
-        return digest
+        outcome = run(scenario.scenario(seed),
+                      digest="records" if keep_records else "hash")
+        results.append(FaultScenarioResult.from_run(scenario, seed, outcome))
+        assert outcome.digest is not None
+        return outcome.digest
 
     report = run_twice_and_diff(run_once, keep_records=keep_records)
     identical = (results[0].metrics == results[1].metrics
                  and results[0].recovery == results[1].recovery
                  and results[0].injected == results[1].injected)
-    return ScenarioCheck(scenario=get_scenario(name), seed=seed,
+    return ScenarioCheck(scenario=scenario, seed=seed,
                          report=report, results_identical=identical,
                          result=results[0])

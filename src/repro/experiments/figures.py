@@ -19,8 +19,9 @@ from repro.experiments.runner import (
     OR_POLICY,
     make_topology,
     make_workload,
-    run_point,
 )
+from repro.fabric.run import Scenario, run
+from repro.metrics.collector import PhaseMetrics
 
 ORDERER_KINDS = ["solo", "kafka", "raft"]
 
@@ -39,21 +40,26 @@ DURATIONS = {"quick": 12.0, "full": 30.0}
 
 @functools.lru_cache(maxsize=4096)
 def _cached_point(orderer_kind: str, policy: str, rate: float,
-                  duration: float, seed: int):
-    return run_point(orderer_kind, policy, rate, peers=DEFAULT_PEERS,
-                     duration=duration, seed=seed)
+                  duration: float, seed: int) -> PhaseMetrics:
+    """One sweep point's metrics (the network itself is not kept)."""
+    scenario = Scenario(make_topology(orderer_kind, policy, DEFAULT_PEERS),
+                        make_workload(rate, duration), seed=seed)
+    return run(scenario).metrics
 
 
-def _sweep(policies: list[str], mode: str, seed: int):
-    """All (orderer, policy, rate) points for Figs. 2-7 (memoized)."""
+def _sweep(policies: list[str], mode: str, seed: int
+           ) -> list[tuple[str, str, float, PhaseMetrics]]:
+    """All (orderer, policy, rate, metrics) points for Figs. 2-7
+    (memoized)."""
     rates = RATE_GRIDS[mode]
     duration = DURATIONS[mode]
     points = []
     for orderer_kind in ORDERER_KINDS:
         for policy in policies:
             for rate in rates:
-                points.append(_cached_point(orderer_kind, policy, rate,
-                                            duration, seed))
+                points.append((orderer_kind, policy, rate,
+                               _cached_point(orderer_kind, policy, rate,
+                                             duration, seed)))
     return points
 
 
@@ -68,12 +74,12 @@ def run_fig2_fig3(mode: str = "quick",
     points = _sweep([OR_POLICY, AND_POLICY], mode, seed)
     throughput_rows = []
     latency_rows = []
-    for point in points:
-        label = "OR" if point.policy == OR_POLICY else "AND"
-        throughput_rows.append([point.orderer_kind, label, point.rate,
-                                point.throughput])
-        latency_rows.append([point.orderer_kind, label, point.rate,
-                             point.latency])
+    for orderer_kind, policy, rate, metrics in points:
+        label = "OR" if policy == OR_POLICY else "AND"
+        throughput_rows.append([orderer_kind, label, rate,
+                                metrics.overall_throughput])
+        latency_rows.append([orderer_kind, label, rate,
+                             metrics.overall_latency])
     fig2 = ExperimentResult(
         experiment_id="fig2",
         title="Overall transaction throughput (paper: OR peaks ~300 tps, "
@@ -101,10 +107,11 @@ def run_fig4_fig5(mode: str = "quick",
     and_points = _sweep([AND_POLICY], mode, seed)
 
     def rows_for(points):
-        return [[p.orderer_kind, p.rate,
-                 p.metrics.execute_throughput,
-                 p.metrics.order_throughput,
-                 p.metrics.validate_throughput] for p in points]
+        return [[orderer_kind, rate,
+                 metrics.execute_throughput,
+                 metrics.order_throughput,
+                 metrics.validate_throughput]
+                for orderer_kind, _policy, rate, metrics in points]
 
     columns = ["orderer", "arrival_rate", "execute_tps", "order_tps",
                "validate_tps"]
@@ -132,9 +139,10 @@ def run_fig6_fig7(mode: str = "quick",
     and_points = _sweep([AND_POLICY], mode, seed)
 
     def rows_for(points):
-        return [[p.orderer_kind, p.rate,
-                 p.metrics.execute_latency,
-                 p.metrics.order_validate_latency] for p in points]
+        return [[orderer_kind, rate,
+                 metrics.execute_latency,
+                 metrics.order_validate_latency]
+                for orderer_kind, _policy, rate, metrics in points]
 
     columns = ["orderer", "arrival_rate", "execute_latency_s",
                "order_validate_latency_s"]
@@ -257,12 +265,16 @@ def run_fig8(mode: str = "quick", seed: int = 1,
     for cluster in (3, 7):
         for orderer_kind in ("kafka", "raft"):
             for num_osns in OSN_GRIDS[mode]:
-                point = run_point(
-                    orderer_kind, OR_POLICY, rate, peers=DEFAULT_PEERS,
-                    duration=duration, seed=seed, num_osns=num_osns,
-                    num_brokers=cluster, num_zookeepers=cluster)
+                topology = make_topology(
+                    orderer_kind, OR_POLICY, DEFAULT_PEERS,
+                    num_osns=num_osns, num_brokers=cluster,
+                    num_zookeepers=cluster)
+                metrics = run(Scenario(topology,
+                                       make_workload(rate, duration),
+                                       seed=seed)).metrics
                 rows.append([orderer_kind, cluster, num_osns,
-                             point.throughput, point.latency])
+                             metrics.overall_throughput,
+                             metrics.overall_latency])
     return ExperimentResult(
         experiment_id="fig8",
         title=f"Throughput/latency vs #OSNs at {rate:.0f} tps arrival "

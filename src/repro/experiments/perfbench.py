@@ -42,14 +42,12 @@ import gc
 import json
 import os
 import pathlib
-import time
 import typing
 
 from repro.common.config import StateDBConfig
 from repro.experiments.farm import run_farm
 from repro.experiments.runner import make_topology, make_workload
-from repro.fabric.network import FabricNetwork
-from repro.sim.sanitizer import TraceDigest
+from repro.fabric.run import Scenario, run
 
 #: Seed used for every golden digest; changing it invalidates the goldens.
 GOLDEN_SEED = 1
@@ -102,6 +100,29 @@ class PerfScenario:
             return StateDBConfig(kind="couchdb", cache=True, bulk=True,
                                  snapshot_interval=3)
         return StateDBConfig(kind=self.statedb_kind)
+
+    def scenario(self, seed: int, observe: bool = False) -> Scenario:
+        """The run this benchmark scenario describes.
+
+        Observed runs have no sampler: the tracer and monitors are
+        schedule-neutral, the sampler's periodic timeouts are not.
+        """
+        if self.population_users > 0:
+            from repro.experiments.scale import (
+                make_scale_topology,
+                make_scale_workload,
+            )
+
+            topology = make_scale_topology(self.peers, self.channels,
+                                           orderer_kind=self.orderer_kind)
+            workload = make_scale_workload(self.population_users,
+                                           self.rate, self.duration)
+        else:
+            topology = make_topology(self.orderer_kind, self.policy,
+                                     self.peers,
+                                     statedb=self.statedb_config())
+            workload = make_workload(self.rate, self.duration)
+        return Scenario(topology, workload, seed=seed, observe=observe)
 
 
 def _scenario_list() -> list[PerfScenario]:
@@ -170,30 +191,6 @@ class PerfResult:
         }
 
 
-def _build_network(scenario: PerfScenario, seed: int,
-                   observe: bool = False,
-                   scheduler: str = "array") -> FabricNetwork:
-    if scenario.population_users > 0:
-        from repro.experiments.scale import (
-            make_scale_topology,
-            make_scale_workload,
-        )
-
-        topology = make_scale_topology(scenario.peers, scenario.channels,
-                                       orderer_kind=scenario.orderer_kind)
-        workload = make_scale_workload(scenario.population_users,
-                                       scenario.rate, scenario.duration)
-    else:
-        topology = make_topology(scenario.orderer_kind, scenario.policy,
-                                 scenario.peers,
-                                 statedb=scenario.statedb_config())
-        workload = make_workload(scenario.rate, scenario.duration)
-    # Observed builds disable the sampler: the tracer and monitors are
-    # schedule-neutral, the sampler's periodic timeouts are not.
-    return FabricNetwork(topology, workload, seed=seed, observe=observe,
-                         observe_sampler=False, scheduler=scheduler)
-
-
 def run_scenario(name: str, seed: int = GOLDEN_SEED,
                  scale: str = "full", repeats: int = 1) -> PerfResult:
     """Benchmark one scenario: timed run(s) plus a digested companion run.
@@ -215,26 +212,22 @@ def run_scenario(name: str, seed: int = GOLDEN_SEED,
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    scenario = SCENARIOS[name].at_scale(scale)
+    scenario = SCENARIOS[name].at_scale(scale).scenario(seed)
     wall = float("inf")
     gc_was_enabled = gc.isenabled()
     for _ in range(repeats):
-        timed = _build_network(scenario, seed)
         if gc_was_enabled:
             gc.collect()
             gc.disable()
         try:
-            # Wall-clock reads are the whole point of this harness: the
-            # measured quantity is host time, never fed back into the
-            # simulation.
-            started = time.perf_counter()  # simlint: disable=SL002
-            metrics = timed.run_workload()
-            elapsed = time.perf_counter() - started  # simlint: disable=SL002
+            timed = run(scenario)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        wall = min(wall, elapsed)
-    events = timed.sim.events_processed
+        wall = min(wall, timed.wall_s)
+        metrics, events = timed.metrics, timed.events
+        # Drop the network so the next repeat's collection frees it.
+        del timed
     return PerfResult(
         scenario=name, scale=scale, seed=seed, wall_s=wall,
         sim_tps=metrics.overall_throughput,
@@ -243,8 +236,7 @@ def run_scenario(name: str, seed: int = GOLDEN_SEED,
 
 
 def digest_scenario(name: str, seed: int = GOLDEN_SEED,
-                    scale: str = "full", observe: bool = False,
-                    scheduler: str = "array") -> str:
+                    scale: str = "full", observe: bool = False) -> str:
     """The trace digest of one (untimed) scenario run.
 
     This is the digest-only half of :func:`run_scenario`, exposed so the
@@ -252,19 +244,11 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     timed run.  ``observe=True`` runs with span tracing and resource
     monitors attached (sampler off): the digest must not change, which is
     the standing proof that observability is schedule-neutral.
-    ``scheduler="heap"`` replays the run on the legacy binary-heap
-    scheduler — the oracle the differential scheduler tests diff the
-    array scheduler against.
     """
-    scenario = SCENARIOS[name].at_scale(scale)
-    network = _build_network(scenario, seed, observe=observe,
-                             scheduler=scheduler)
-    digest = TraceDigest(network.sim, keep_records=False).attach()
-    try:
-        network.run_workload()
-    finally:
-        digest.detach()
-    return digest.hexdigest
+    scenario = SCENARIOS[name].at_scale(scale).scenario(seed, observe)
+    result = run(scenario, digest="hash")
+    assert result.digest is not None
+    return result.digest.hexdigest
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ CLI::
 from __future__ import annotations
 
 import dataclasses
-import time
 import typing
 
 from repro.common.config import (
@@ -37,8 +36,9 @@ from repro.common.config import (
     TopologyConfig,
     WorkloadConfig,
 )
+from repro.common.errors import ConfigurationError
 from repro.experiments.farm import run_farm
-from repro.fabric.network import FabricNetwork
+from repro.fabric.run import Scenario, run
 from repro.metrics.collector import PhaseMetrics
 
 #: Endorsing core size: proposals are served by at most this many peers
@@ -62,6 +62,9 @@ def make_scale_topology(peers: int, channels: int,
     Block dissemination uses leader-peer gossip over an N-ary relay tree
     (one deliver stream from the ordering service, bounded fan-out below).
     """
+    if channels < 1:
+        raise ConfigurationError(
+            f"a scale topology needs at least one channel, got {channels}")
     endorsing = min(peers, endorsing)
     extra = [ChannelConfig(name=f"ch{index}",
                            endorsement_policy="OR(1..n)")
@@ -149,13 +152,8 @@ def run_scale_point(peers: int = 100, channels: int = 4,
                                    orderer_kind=orderer_kind)
     workload = make_scale_workload(users, rate, duration,
                                    cohorts_per_channel=cohorts_per_channel)
-    network = FabricNetwork(topology, workload, seed=seed, observe=observe,
-                            observe_sampler=False)
-    # Wall-clock reads never feed back into the simulation; they are the
-    # quantity this harness reports.
-    started = time.perf_counter()  # simlint: disable=SL002
-    metrics = network.run_workload()
-    wall = time.perf_counter() - started  # simlint: disable=SL002
+    result = run(Scenario(topology, workload, seed=seed, observe=observe))
+    network = result.network
     bottleneck = ""
     if observe:
         report = network.bottleneck_report()
@@ -167,8 +165,8 @@ def run_scale_point(peers: int = 100, channels: int = 4,
         peers=peers, channels=channels, users=users,
         cohorts=len(network.population.cohorts),
         clients=len(network.clients),
-        rate=rate, duration=duration, seed=seed, wall_s=wall,
-        events=network.sim.events_processed, metrics=metrics,
+        rate=rate, duration=duration, seed=seed, wall_s=result.wall_s,
+        events=result.events, metrics=result.metrics,
         per_cohort=network.cohort_metrics(),
         per_channel=network.channel_metrics(),
         cohort_channels={cohort.name: cohort.spec.channel

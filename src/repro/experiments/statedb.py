@@ -23,7 +23,8 @@ import dataclasses
 
 from repro.common.config import StateDBConfig
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import run_traced_point, search_peak
+from repro.experiments.runner import make_topology, make_workload, search_peak
+from repro.fabric.run import Scenario, run
 
 #: The workload: every transaction reads one key and writes it back
 #: (kvstore "update"), so both the backend read path (endorsement + MVCC)
@@ -105,11 +106,12 @@ def run_statedb_ablation(mode: str = "quick",
     # Bottleneck attribution for the plain-CouchDB arm, driven past its
     # peak so the saturated resource is unambiguous.
     couch_rates = SLOW_RATES[mode]
-    traced = run_traced_point(
-        "solo", policy=POLICY, rate=max(couch_rates), peers=PEERS,
-        duration=duration, seed=seed, workload_kind=WORKLOAD_KIND,
-        statedb=StateDBConfig(kind="couchdb"))
-    bottleneck = traced.report.bottleneck
+    traced = run(Scenario(
+        make_topology("solo", POLICY, PEERS,
+                      statedb=StateDBConfig(kind="couchdb")),
+        make_workload(max(couch_rates), duration), seed=seed,
+        workload_kind=WORKLOAD_KIND, observe=True, sample_interval=0.05))
+    bottleneck = traced.network.bottleneck_report().bottleneck
     name = bottleneck.name if bottleneck is not None else ""
     phase = bottleneck.phase if bottleneck is not None else ""
     utilization = bottleneck.utilization if bottleneck is not None else 0.0

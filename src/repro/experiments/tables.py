@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.common.config import OrdererConfig, TopologyConfig, WorkloadConfig
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import run_point, search_peak
+from repro.experiments.runner import make_topology, make_workload, search_peak
+from repro.fabric.run import Scenario, run
 from repro.runtime.costs import CostModel
 
 #: The paper's Table II (throughput, tps) — "-" cells were not measured.
@@ -100,13 +101,15 @@ def run_table2_table3(mode: str = "quick", seed: int = 1,
                                         duration=duration, seed=seed)
             paper_peak = PAPER_TABLE2.get((policy, peers))
             throughput_rows.append([policy, peers, peak, paper_peak])
-            near_peak = run_point(orderer_kind, policy, max(10.0, 0.85 * peak),
-                                  peers=peers, duration=duration, seed=seed)
+            near_peak = run(Scenario(
+                make_topology(orderer_kind, policy, peers),
+                make_workload(max(10.0, 0.85 * peak), duration),
+                seed=seed)).metrics
             paper_latency = PAPER_TABLE3.get((policy, peers), (None, None))
             latency_rows.append([
                 policy, peers,
-                near_peak.metrics.execute_latency, paper_latency[0],
-                near_peak.metrics.order_validate_latency, paper_latency[1]])
+                near_peak.execute_latency, paper_latency[0],
+                near_peak.order_validate_latency, paper_latency[1]])
     table2 = ExperimentResult(
         experiment_id="tab2",
         title="Peak throughput vs number of endorsing peers",

@@ -39,13 +39,16 @@ class FabricNetwork:
     #: Simulated seconds allowed for consensus leader election before load.
     STABILIZATION = 2.0
 
+    #: Simulated seconds run past the end of load generation, so
+    #: in-flight transactions commit before the horizon.
+    DRAIN = 5.0
+
     def __init__(self, topology: TopologyConfig,
                  workload: WorkloadConfig | None = None,
                  seed: int = 0, costs: CostModel | None = None,
                  workload_kind: str = "unique",
                  observe: bool = False,
-                 observe_sampler: bool = True,
-                 sample_interval: float = 0.05,
+                 sample_interval: float | None = 0.05,
                  faults: FaultSchedule | None = None,
                  scheduler: str = "array") -> None:
         self.topology = topology
@@ -64,13 +67,12 @@ class FabricNetwork:
             self.context.costs.tls_per_message_cpu = 0.0
         #: Observability layer (tracer + monitors); opt-in and off by
         #: default so unobserved runs carry zero instrumentation cost.
+        #: The tracer and monitors are pure observers (zero schedule
+        #: impact), but the periodic sampler is a process whose timeouts
+        #: ARE kernel events — schedule-neutral runs (determinism checks,
+        #: golden digests) pass ``sample_interval=None`` and still get
+        #: tracing + exact lifetime integrals.
         self.obs: Observability | None = None
-        #: Whether :meth:`run_workload` starts the periodic sampler.  The
-        #: tracer and monitors are pure observers (zero schedule impact),
-        #: but the sampler is a process whose timeouts ARE kernel events —
-        #: schedule-neutral runs (determinism checks, golden digests)
-        #: disable it and still get tracing + exact lifetime integrals.
-        self._observe_sampler = observe_sampler
         if observe:
             self.obs = Observability(self.context.sim,
                                      sample_interval=sample_interval)
@@ -292,7 +294,7 @@ class FabricNetwork:
         if self.fault_injector is not None:
             self.fault_injector.start()
 
-    def run_workload(self, drain: float = 5.0):
+    def run_workload(self):
         """Start, stabilize, drive the workload, and aggregate metrics.
 
         Returns the :class:`~repro.metrics.collector.PhaseMetrics` over the
@@ -301,8 +303,8 @@ class FabricNetwork:
         self.start()
         start_at = self.STABILIZATION
         self.workload.start(at=start_at)
-        horizon = start_at + self.workload_config.duration + drain
-        if self.obs is not None and self._observe_sampler:
+        horizon = start_at + self.workload_config.duration + self.DRAIN
+        if self.obs is not None:
             self.obs.start_sampler(until=horizon)
         self.context.sim.run(until=horizon)
         if self.obs is not None:

@@ -1,24 +1,96 @@
-"""One-call experiment execution."""
+"""One scenario spec and one runner for every simulated experiment.
+
+A :class:`Scenario` says everything that determines a run: the deployment,
+the offered load, the seed, the cost model, an optional fault schedule and
+whether the run is observed.  :func:`run` is the single place a
+:class:`~repro.fabric.network.FabricNetwork` is built, driven, timed and
+(optionally) digested; figure sweeps, tables, ablations, fault scenarios,
+scale points, perfbench and crossval are all lists of scenarios handed to
+it.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 from repro.common.config import TopologyConfig, WorkloadConfig
 from repro.fabric.network import FabricNetwork
+from repro.faults import FaultSchedule
 from repro.metrics.collector import PhaseMetrics
 from repro.runtime.costs import CostModel
+from repro.sim.sanitizer import TraceDigest
+
+#: ``run(..., digest=...)`` modes: no digest, the streaming hash only, or
+#: the hash plus every record (what a double-run diff needs to name the
+#: first divergent event).
+DIGEST_MODES = (None, "hash", "records")
 
 
-def run_experiment(topology: TopologyConfig,
-                   workload: WorkloadConfig,
-                   seed: int = 0,
-                   costs: CostModel | None = None,
-                   workload_kind: str = "unique",
-                   drain: float = 5.0) -> PhaseMetrics:
-    """Build a network, drive the workload, and return windowed metrics.
+@dataclasses.dataclass(frozen=True)
+class Scenario:
+    """Everything that determines one simulated run."""
 
-    This is the primary entry point used by the benchmark harness: one call
-    per (configuration, arrival-rate) point.
+    topology: TopologyConfig
+    workload: WorkloadConfig
+    seed: int = 0
+    #: Transaction shape: ``"unique"`` blind writes or ``"conflict"``
+    #: read-modify-writes (see :class:`~repro.client.workload.WorkloadGenerator`).
+    workload_kind: str = "unique"
+    costs: CostModel | None = None
+    faults: FaultSchedule | None = None
+    #: Attach the tracer and resource monitors.
+    observe: bool = False
+    #: Period of the utilisation sampler in observed runs.  ``None`` runs
+    #: no sampler, whose timeouts would otherwise join the event schedule.
+    sample_interval: float | None = None
+
+
+@dataclasses.dataclass
+class RunResult:
+    """One completed run."""
+
+    scenario: Scenario
+    #: The driven network, for reports that read its state (bottleneck,
+    #: queueing, critical path, per-cohort and per-channel metrics).
+    network: FabricNetwork
+    #: Windowed metrics (warmup and cooldown trimmed).
+    metrics: PhaseMetrics
+    #: Host seconds spent in ``run_workload`` (the build is not timed).
+    wall_s: float
+    #: Kernel events popped by the run.
+    events: int
+    digest: TraceDigest | None
+
+
+def run(scenario: Scenario, digest: str | None = None) -> RunResult:
+    """Build the scenario's network, drive its workload, return the result.
+
+    ``digest`` attaches a :class:`~repro.sim.sanitizer.TraceDigest` for the
+    run: ``"hash"`` keeps only the streaming hash, ``"records"`` also keeps
+    every record (see :data:`DIGEST_MODES`).
     """
-    network = FabricNetwork(topology, workload, seed=seed, costs=costs,
-                            workload_kind=workload_kind)
-    return network.run_workload(drain=drain)
+    if digest not in DIGEST_MODES:
+        raise ValueError(f"unknown digest mode {digest!r}; "
+                         f"known: {DIGEST_MODES}")
+    network = FabricNetwork(
+        scenario.topology, scenario.workload, seed=scenario.seed,
+        costs=scenario.costs, workload_kind=scenario.workload_kind,
+        observe=scenario.observe, sample_interval=scenario.sample_interval,
+        faults=scenario.faults)
+    trace = None
+    if digest is not None:
+        trace = TraceDigest(network.sim,
+                            keep_records=digest == "records").attach()
+    try:
+        # Wall-clock reads are reported, never fed back into the
+        # simulation.
+        started = time.perf_counter()  # simlint: disable=SL002
+        metrics = network.run_workload()
+        wall_s = time.perf_counter() - started  # simlint: disable=SL002
+    finally:
+        if trace is not None:
+            trace.detach()
+    return RunResult(scenario=scenario, network=network, metrics=metrics,
+                     wall_s=wall_s, events=network.sim.events_processed,
+                     digest=trace)

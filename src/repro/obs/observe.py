@@ -34,7 +34,7 @@ class Observability:
     """
 
     def __init__(self, sim: "Simulation",
-                 sample_interval: float = 0.05) -> None:
+                 sample_interval: float | None = 0.05) -> None:
         self.sim = sim
         self.tracer = Tracer(sim)
         self.monitors: dict[str, ResourceMonitor] = {}

@@ -291,12 +291,17 @@ def watch_store(store: "Store", name: str | None = None,
 
 
 class UtilizationSampler:
-    """A simulation process checkpointing every monitor on an interval."""
+    """A simulation process checkpointing every monitor on an interval.
+
+    ``interval=None`` never starts the process: checkpoints then come only
+    from explicit :meth:`sample` calls, and the event schedule is left
+    untouched.
+    """
 
     def __init__(self, sim: "Simulation",
                  monitors: typing.Mapping[str, ResourceMonitor],
-                 interval: float = 0.05) -> None:
-        if interval <= 0:
+                 interval: float | None = 0.05) -> None:
+        if interval is not None and interval <= 0:
             raise ValueError(f"sample interval must be positive, "
                              f"got {interval}")
         self.sim = sim
@@ -307,12 +312,15 @@ class UtilizationSampler:
 
     def start(self, until: float | None = None) -> None:
         """Begin sampling; stops at simulated time ``until`` if given."""
+        if self.interval is None:
+            return
         if self._process is None or not self._process.is_alive:
-            self._process = self.sim.process(self._run(until))
+            self._process = self.sim.process(self._run(self.interval, until))
 
-    def _run(self, until: float | None) -> "ProcessGenerator":
+    def _run(self, interval: float,
+             until: float | None) -> "ProcessGenerator":
         while until is None or self.sim.now < until:
-            yield self.sim.timeout(self.interval)
+            yield self.sim.timeout(interval)
             self.sample()
 
     def sample(self) -> None:

@@ -243,12 +243,14 @@ def test_analytical_matches_simulation_within_ten_percent():
 
 
 def test_model_matches_simulation_below_saturation():
-    from repro.experiments.runner import run_point
+    from repro.experiments.runner import make_topology, make_workload
+    from repro.fabric.run import Scenario, run
 
-    point = run_point("solo", "OR10", 150, peers=10, duration=15)
+    metrics = run(Scenario(make_topology("solo", "OR10", 10),
+                           make_workload(150, 15), seed=1)).metrics
     predicted = _paper_model("OR10", 10, 150.0).predict(with_capacity=False)
-    measured_execute = point.metrics.execute_latency
-    measured_ov = point.metrics.order_validate_latency
+    measured_execute = metrics.execute_latency
+    measured_ov = metrics.order_validate_latency
     assert predicted.execute.mean == pytest.approx(measured_execute,
                                                    rel=0.35)
     assert (predicted.order.mean + predicted.validate.mean

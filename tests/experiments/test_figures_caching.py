@@ -7,7 +7,7 @@ from repro.experiments.figures import (
     run_fig2_fig3,
     run_fig4_fig5,
 )
-from repro.experiments.runner import SweepPoint
+from repro.metrics.collector import PhaseMetrics
 
 
 def test_rate_grids_cover_saturation():
@@ -32,10 +32,12 @@ def test_sweep_points_are_cached_across_figures():
 
 
 def test_sweep_point_properties():
+    # A cached point is only its metrics: the network is not kept alive.
     point = _cached_point("solo", "OR3", 30.0, 6.0, 7)
-    assert isinstance(point, SweepPoint)
-    assert point.throughput == point.metrics.overall_throughput
-    assert point.latency == point.metrics.overall_latency
+    assert isinstance(point, PhaseMetrics)
+    assert point.overall_throughput > 0
+    assert point.overall_latency > 0
+    assert _cached_point("solo", "OR3", 30.0, 6.0, 7) is point
     _cached_point.cache_clear()
 
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    make_topology,
-    make_workload,
-    run_point,
-    search_peak,
-)
+from repro.experiments.runner import make_topology, make_workload, search_peak
+from repro.fabric.run import Scenario, run
 from repro.experiments.tables import PAPER_TABLE2, run_table1
 
 
@@ -27,17 +23,20 @@ def test_make_workload_trims_window_for_short_runs():
     assert workload.warmup + workload.cooldown < workload.duration
 
 
-def test_run_point_returns_metrics():
-    point = run_point("solo", "OR3", 30, peers=3, duration=6)
-    assert point.orderer_kind == "solo"
-    assert point.throughput == pytest.approx(30, rel=0.2)
-    assert point.latency > 0
+def test_run_returns_metrics():
+    scenario = Scenario(make_topology("solo", "OR3", 3),
+                        make_workload(30, duration=6), seed=1)
+    result = run(scenario)
+    assert result.scenario is scenario
+    assert result.network.topology.orderer.kind == "solo"
+    assert result.metrics.overall_throughput == pytest.approx(30, rel=0.2)
+    assert result.metrics.overall_latency > 0
 
 
 def test_search_peak_monotone_result():
     peak, points = search_peak("solo", "OR3", 1, rates=[30, 60, 90],
                                duration=6)
-    assert peak == max(p.throughput for p in points)
+    assert peak == max(m.overall_throughput for m in points)
     # One endorsing peer = one client ≈ 50 tps peak (Table II row 1).
     assert peak == pytest.approx(50, rel=0.15)
 

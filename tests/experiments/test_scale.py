@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.experiments.cli import main
 from repro.experiments.scale import (
     ScaleSweep,
@@ -23,6 +24,18 @@ def test_scale_topology_builds_committing_fleet():
         cfg.name for cfg in topology.extra_channels]
     assert names == ["ch1", "ch2", "ch3", "ch4"]
     topology.validate()
+
+
+@pytest.mark.parametrize("channels", [0, -1])
+def test_scale_topology_rejects_fewer_than_one_channel(channels):
+    with pytest.raises(ConfigurationError, match="at least one channel"):
+        make_scale_topology(peers=8, channels=channels)
+
+
+def test_scale_cli_rejects_zero_channels():
+    with pytest.raises(ConfigurationError):
+        main(["scale", "--peers", "8", "--channels", "0", "--users", "1000",
+              "--scale-duration", "2"])
 
 
 def test_scale_topology_small_network_all_endorsing():

@@ -8,7 +8,7 @@ from repro.common.config import (
     TopologyConfig,
     WorkloadConfig,
 )
-from repro.fabric.run import run_experiment
+from repro.fabric.run import Scenario, run
 from repro.runtime.costs import CostModel
 
 
@@ -19,7 +19,7 @@ def run_with(costs, rate=120, peers=5, policy="OR(1..n)"):
         orderer=OrdererConfig(kind="solo"))
     workload = WorkloadConfig(arrival_rate=rate, duration=8, warmup=2,
                               cooldown=1)
-    return run_experiment(topology, workload, seed=29, costs=costs)
+    return run(Scenario(topology, workload, seed=29, costs=costs)).metrics
 
 
 def test_slower_clients_cap_throughput():

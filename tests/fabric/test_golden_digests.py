@@ -22,16 +22,19 @@ import typing
 import pytest
 
 from repro.experiments import perfbench
+from repro.fabric.run import Scenario, run
 
 ALL_SCENARIOS = sorted(perfbench.SCENARIOS)
 
 
-def _fault_digest(name: str) -> str:
-    from repro.experiments.faults import run_digested_scenario
+def _digest(scenario: Scenario) -> str:
+    return run(scenario, digest="hash").digest.hexdigest
 
-    digest, _result = run_digested_scenario(name, seed=1,
-                                            keep_records=False)
-    return digest.hexdigest
+
+def _fault_digest(name: str) -> str:
+    from repro.experiments.faults import get_scenario
+
+    return _digest(get_scenario(name).scenario(seed=1))
 
 
 def _scale_digest(peers: int, channels: int, users: int,
@@ -41,27 +44,28 @@ def _scale_digest(peers: int, channels: int, users: int,
         make_scale_topology,
         make_scale_workload,
     )
-    from repro.fabric.network import FabricNetwork
-    from repro.sim.sanitizer import digest_run
 
-    network = FabricNetwork(
+    return _digest(Scenario(
         make_scale_topology(peers, channels),
         make_scale_workload(users, rate, SMOKE_DURATION), seed=1,
-        observe=True, observe_sampler=False)
-    return digest_run(network.sim, network.run_workload,
-                      keep_records=False).hexdigest
+        observe=True))
 
 
 def _determinism_digest(orderer_kind: str, couchdb: bool = False) -> str:
     from repro.common.config import StateDBConfig
-    from repro.experiments.determinism import run_digested_point
+    from repro.experiments.determinism import (
+        CHECK_DURATION,
+        CHECK_PEERS,
+        CHECK_RATE,
+    )
+    from repro.experiments.runner import make_topology, make_workload
 
     statedb = (StateDBConfig(kind="couchdb", cache=True, bulk=True,
                              snapshot_interval=3) if couchdb else None)
-    digest, _metrics, _cp = run_digested_point(
-        orderer_kind, seed=1, keep_records=False, statedb=statedb,
-        workload_kind="conflict" if couchdb else "unique")
-    return digest.hexdigest
+    return _digest(Scenario(
+        make_topology(orderer_kind, "AND2", CHECK_PEERS, statedb=statedb),
+        make_workload(CHECK_RATE, CHECK_DURATION), seed=1,
+        workload_kind="conflict" if couchdb else "unique", observe=True))
 
 
 #: Runs no perfbench scenario covers, pinned under their own keys: the

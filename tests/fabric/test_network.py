@@ -112,8 +112,8 @@ def test_tls_disabled_topology_runs():
     assert metrics.overall_throughput > 10
 
 
-def test_run_experiment_facade():
-    from repro import run_experiment
+def test_run_facade():
+    from repro import Scenario, run
 
     topology = TopologyConfig(
         num_endorsing_peers=2,
@@ -121,8 +121,11 @@ def test_run_experiment_facade():
         orderer=OrdererConfig(kind="solo"))
     workload = WorkloadConfig(arrival_rate=20, duration=6, warmup=1,
                               cooldown=1)
-    metrics = run_experiment(topology, workload, seed=5)
-    assert metrics.overall_throughput == pytest.approx(20, rel=0.2)
+    result = run(Scenario(topology, workload, seed=5))
+    assert result.metrics.overall_throughput == pytest.approx(20, rel=0.2)
+    assert result.events == result.network.sim.events_processed > 0
+    assert result.wall_s > 0
+    assert result.digest is None
 
 
 def test_identical_seeds_identical_results_across_orderers():

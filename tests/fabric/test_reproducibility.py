@@ -11,8 +11,17 @@ import pytest
 
 from repro.experiments.determinism import (
     check_point_determinism,
-    run_digested_point,
+    critical_path_hash,
 )
+from repro.experiments.runner import make_topology, make_workload
+from repro.fabric.run import Scenario, run
+
+
+def digested_run(seed):
+    """One observed AND2 point with the schedule hash attached."""
+    scenario = Scenario(make_topology("solo", "AND2", 3),
+                        make_workload(40.0, 2.0), seed=seed, observe=True)
+    return run(scenario, digest="hash")
 
 
 @pytest.mark.parametrize("orderer_kind", ["solo", "raft"])
@@ -40,20 +49,18 @@ def test_couchdb_backend_double_run_is_identical():
 
 
 def test_different_seed_changes_the_digest():
-    digest_a, _, cp_a = run_digested_point(
-        "solo", policy="AND2", rate=40.0, peers=3, duration=2.0, seed=1,
-        keep_records=False)
-    digest_b, _, cp_b = run_digested_point(
-        "solo", policy="AND2", rate=40.0, peers=3, duration=2.0, seed=2,
-        keep_records=False)
-    assert digest_a.hexdigest != digest_b.hexdigest
-    assert cp_a != cp_b
+    run_a = digested_run(seed=1)
+    run_b = digested_run(seed=2)
+    assert run_a.digest.hexdigest != run_b.digest.hexdigest
+    assert (critical_path_hash(run_a.network)
+            != critical_path_hash(run_b.network))
 
 
 def test_digest_covers_real_traffic():
-    digest, metrics, cp_hash = run_digested_point(
-        "solo", policy="AND2", rate=40.0, peers=3, duration=2.0, seed=1,
-        keep_records=False)
-    assert digest.events_recorded > 1000
-    assert metrics["overall_throughput"] > 0
-    assert len(cp_hash) == 64  # a real sha256 over a non-empty summary
+    result = digested_run(seed=1)
+    assert result.digest.events_recorded > 1000
+    assert result.digest.events_recorded == result.events
+    assert not result.digest.records  # hash mode keeps no records
+    assert result.metrics.overall_throughput > 0
+    # A real sha256 over a non-empty summary.
+    assert len(critical_path_hash(result.network)) == 64

@@ -12,20 +12,27 @@ import json
 import pytest
 
 from repro.common.types import ValidationCode
-from repro.experiments.runner import make_topology, make_workload, run_traced_point
+from repro.experiments.runner import make_topology, make_workload
 from repro.fabric.network import FabricNetwork
+from repro.fabric.run import Scenario, run
 from repro.obs.tracer import NULL_TRACER
 
 
 @pytest.fixture(scope="module")
 def traced_point():
     """One observed Fig. 5 AND5 run past validate capacity (shared)."""
-    return run_traced_point(orderer_kind="solo", policy="AND5",
-                            rate=250.0, duration=8.0, seed=1)
+    return run(Scenario(make_topology("solo", "AND5", 10),
+                        make_workload(250.0, 8.0), seed=1, observe=True,
+                        sample_interval=0.05))
 
 
-def test_validator_pool_is_the_saturated_bottleneck(traced_point):
-    report = traced_point.report
+@pytest.fixture(scope="module")
+def report(traced_point):
+    """The traced run's bottleneck report over its measurement window."""
+    return traced_point.network.bottleneck_report()
+
+
+def test_validator_pool_is_the_saturated_bottleneck(report):
     assert report.bottleneck is not None
     assert "validator.workers" in report.bottleneck.name
     assert report.bottleneck.utilization > 0.9
@@ -42,15 +49,15 @@ def test_validator_pool_is_the_saturated_bottleneck(traced_point):
 
 def test_throughput_matches_the_papers_validate_ceiling(traced_point):
     # The paper measures ~210 tps at the AND5 validate ceiling.
-    assert 180.0 <= traced_point.throughput <= 240.0
+    assert 180.0 <= traced_point.metrics.overall_throughput <= 240.0
 
 
-def test_span_coverage_spans_all_three_phases(traced_point):
-    names = {stats.name for stats in traced_point.report.spans}
+def test_span_coverage_spans_all_three_phases(report):
+    names = {stats.name for stats in report.spans}
     assert {"client.execute", "endorse", "order.broadcast", "order.block",
             "client.order_wait", "validate.block", "validate.vscc",
             "validate.mvcc", "validate.commit"} <= names
-    vscc = traced_point.report.span_stats("validate.vscc")
+    vscc = report.span_stats("validate.vscc")
     assert vscc.count > 500
     # Queue wait at the saturated pool dominates the vscc span.
     assert vscc.wait_mean > 0.0
@@ -58,7 +65,7 @@ def test_span_coverage_spans_all_three_phases(traced_point):
 
 def test_chrome_trace_is_valid_and_complete(tmp_path, traced_point):
     path = tmp_path / "trace.json"
-    traced_point.write_chrome_trace(str(path))
+    traced_point.network.obs.write_chrome_trace(str(path))
     payload = json.loads(path.read_text())
     events = payload["traceEvents"]
     phases = {event["ph"] for event in events}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.sim import Message, Network, RngRegistry, Simulation
 
 
-def build_network(jitter=0.0):
+def make_network(jitter=0.0):
     sim = Simulation()
     network = Network(sim, RngRegistry(seed=3), default_latency=0.001,
                       default_bandwidth=1_000_000, latency_jitter=jitter)
@@ -20,7 +20,7 @@ def build_network(jitter=0.0):
                 min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_messages_conserved_and_fifo_per_destination(sends):
-    sim, network = build_network()
+    sim, network = make_network()
     received = {"b": [], "c": []}
 
     def receiver(sim, network, name, expected):
@@ -48,7 +48,7 @@ def test_messages_conserved_and_fifo_per_destination(sends):
                 max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_nic_serialization_lower_bounds_completion_time(sizes):
-    sim, network = build_network()
+    sim, network = make_network()
     done = []
 
     def receiver(sim, network, expected):

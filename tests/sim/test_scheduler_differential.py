@@ -19,8 +19,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import perfbench
+from repro.fabric.network import FabricNetwork
 from repro.sim.core import Simulation
-from repro.sim.sanitizer import TraceDigest
+from repro.sim.sanitizer import TraceDigest, digest_run
 
 #: The differential golden matrix: every perfbench scenario (8 at the
 #: time of writing; the parametrisation tracks the registry).
@@ -32,13 +33,21 @@ def test_matrix_covers_at_least_eight_scenarios() -> None:
     assert len(MATRIX) >= 8, MATRIX
 
 
+def _heap_digest(name: str) -> str:
+    """The smoke-scale digest of ``name`` replayed on the heap oracle."""
+    scenario = perfbench.SCENARIOS[name].at_scale("smoke").scenario(
+        perfbench.GOLDEN_SEED)
+    network = FabricNetwork(scenario.topology, scenario.workload,
+                            seed=scenario.seed, scheduler="heap")
+    return digest_run(network.sim, network.run_workload,
+                      keep_records=False).hexdigest
+
+
 @pytest.mark.parametrize("name", MATRIX)
 def test_heap_and_array_digests_identical_and_golden(name: str) -> None:
     """Both schedulers replay the committed schedule, bit for bit."""
-    array_digest = perfbench.digest_scenario(name, scale="smoke",
-                                             scheduler="array")
-    heap_digest = perfbench.digest_scenario(name, scale="smoke",
-                                            scheduler="heap")
+    array_digest = perfbench.digest_scenario(name, scale="smoke")
+    heap_digest = _heap_digest(name)
     assert array_digest == heap_digest, (
         f"scheduler divergence in {name}: the array scheduler popped a "
         f"different schedule than the binary-heap oracle")
