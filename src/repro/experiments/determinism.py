@@ -109,7 +109,6 @@ def check_point_determinism(orderer_kind: str, policy: str = "AND2",
                      digest="records" if keep_records else "hash")
         metrics_by_run.append(result.metrics.as_dict())
         cp_hashes.append(critical_path_hash(result.network))
-        assert result.digest is not None
         return result.digest
 
     report = run_twice_and_diff(run_once, keep_records=keep_records)

@@ -93,14 +93,6 @@ class PerfScenario:
         return dataclasses.replace(self, rate=60.0, duration=4.0,
                                    peers=peers)
 
-    def statedb_config(self) -> StateDBConfig:
-        if self.statedb_kind == "couchdb":
-            # The representative CouchDB deployment: Thakkar-style read
-            # cache and bulk batching on, periodic snapshots.
-            return StateDBConfig(kind="couchdb", cache=True, bulk=True,
-                                 snapshot_interval=3)
-        return StateDBConfig(kind=self.statedb_kind)
-
     def scenario(self, seed: int, observe: bool = False) -> Scenario:
         """The run this benchmark scenario describes.
 
@@ -118,9 +110,14 @@ class PerfScenario:
             workload = make_scale_workload(self.population_users,
                                            self.rate, self.duration)
         else:
+            statedb = StateDBConfig(kind=self.statedb_kind)
+            if self.statedb_kind == "couchdb":
+                # The representative CouchDB deployment: Thakkar-style
+                # read cache and bulk batching on, periodic snapshots.
+                statedb = StateDBConfig(kind="couchdb", cache=True,
+                                        bulk=True, snapshot_interval=3)
             topology = make_topology(self.orderer_kind, self.policy,
-                                     self.peers,
-                                     statedb=self.statedb_config())
+                                     self.peers, statedb=statedb)
             workload = make_workload(self.rate, self.duration)
         return Scenario(topology, workload, seed=seed, observe=observe)
 
@@ -246,9 +243,7 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     the standing proof that observability is schedule-neutral.
     """
     scenario = SCENARIOS[name].at_scale(scale).scenario(seed, observe)
-    result = run(scenario, digest="hash")
-    assert result.digest is not None
-    return result.digest.hexdigest
+    return run(scenario, digest="hash").digest.hexdigest
 
 
 # ----------------------------------------------------------------------

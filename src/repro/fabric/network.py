@@ -98,6 +98,9 @@ class FabricNetwork:
         self._cohort_specs: list = []
         self._workload_kind = workload_kind
         self._started = False
+        #: The last :meth:`run_workload` measurement window, kept for
+        #: windowed reports; ``None`` before any completed run.
+        self.last_window: tuple[float, float] | None = None
 
         self._build()
         #: Fault injector driving an optional :class:`FaultSchedule`.
@@ -312,7 +315,6 @@ class FabricNetwork:
         window_start = start_at + self.workload_config.warmup
         window_end = (start_at + self.workload_config.duration
                       - self.workload_config.cooldown)
-        #: The measurement window, kept for windowed bottleneck reports.
         self.last_window = (window_start, window_end)
         self._export_statedb_counters()
         return self.context.metrics.aggregate(window_start, window_end)
@@ -332,10 +334,7 @@ class FabricNetwork:
         Only meaningful in population mode (transactions carry cohort
         tags); raises otherwise, and before any completed run.
         """
-        window = getattr(self, "last_window", None)
-        if window is None:
-            raise ConfigurationError(
-                "cohort_metrics() needs a completed run_workload() call")
+        window = self._completed_window("cohort_metrics")
         if self.population is None:
             raise ConfigurationError(
                 "cohort_metrics() needs workload.population (the "
@@ -344,11 +343,14 @@ class FabricNetwork:
 
     def channel_metrics(self):
         """Per-channel :class:`PhaseMetrics` for the last workload run."""
-        window = getattr(self, "last_window", None)
-        if window is None:
+        return self.context.metrics.aggregate_by_channel(
+            *self._completed_window("channel_metrics"))
+
+    def _completed_window(self, caller: str) -> tuple[float, float]:
+        if self.last_window is None:
             raise ConfigurationError(
-                "channel_metrics() needs a completed run_workload() call")
-        return self.context.metrics.aggregate_by_channel(*window)
+                f"{caller}() needs a completed run_workload() call")
+        return self.last_window
 
     def statedb_counters(self) -> dict[str, int]:
         """Aggregate state-DB op counters summed across peers/channels."""
@@ -373,7 +375,7 @@ class FabricNetwork:
             raise ConfigurationError(
                 "bottleneck_report() needs FabricNetwork(observe=True)")
         if start is None and end is None:
-            start, end = getattr(self, "last_window", (None, None))
+            start, end = self.last_window or (None, None)
         return self.obs.report(start, end)
 
     def queueing_report(self, tolerance: float | None = None):
@@ -461,11 +463,8 @@ class FabricNetwork:
         crash time plus :attr:`STABILIZATION`, since schedules run on the
         same clock as the workload).
         """
-        window = getattr(self, "last_window", None)
-        if window is None:
-            raise ConfigurationError(
-                "recovery_report() needs a completed run_workload() call")
-        return compute_recovery(self.context.metrics, fault_time, window,
+        return compute_recovery(self.context.metrics, fault_time,
+                                self._completed_window("recovery_report"),
                                 bucket=bucket)
 
     def assert_ledgers_consistent(self) -> None:

@@ -1,12 +1,8 @@
 """One scenario spec and one runner for every simulated experiment.
 
-A :class:`Scenario` says everything that determines a run: the deployment,
-the offered load, the seed, the cost model, an optional fault schedule and
-whether the run is observed.  :func:`run` is the single place a
-:class:`~repro.fabric.network.FabricNetwork` is built, driven, timed and
-(optionally) digested; figure sweeps, tables, ablations, fault scenarios,
-scale points, perfbench and crossval are all lists of scenarios handed to
-it.
+:func:`run` is the single place a :class:`~repro.fabric.network.FabricNetwork`
+is built, driven, timed and (optionally) digested; every experiment is a
+list of scenarios handed to it.
 """
 
 from __future__ import annotations
@@ -21,9 +17,8 @@ from repro.metrics.collector import PhaseMetrics
 from repro.runtime.costs import CostModel
 from repro.sim.sanitizer import TraceDigest
 
-#: ``run(..., digest=...)`` modes: no digest, the streaming hash only, or
-#: the hash plus every record (what a double-run diff needs to name the
-#: first divergent event).
+#: ``run(..., digest=...)`` modes: none, hash only, or hash plus every
+#: record (what a double-run diff needs to name the first divergence).
 DIGEST_MODES = (None, "hash", "records")
 
 
@@ -34,8 +29,7 @@ class Scenario:
     topology: TopologyConfig
     workload: WorkloadConfig
     seed: int = 0
-    #: Transaction shape: ``"unique"`` blind writes or ``"conflict"``
-    #: read-modify-writes (see :class:`~repro.client.workload.WorkloadGenerator`).
+    #: ``"unique"`` blind writes or ``"conflict"`` read-modify-writes.
     workload_kind: str = "unique"
     costs: CostModel | None = None
     faults: FaultSchedule | None = None
@@ -51,8 +45,7 @@ class RunResult:
     """One completed run."""
 
     scenario: Scenario
-    #: The driven network, for reports that read its state (bottleneck,
-    #: queueing, critical path, per-cohort and per-channel metrics).
+    #: The driven network, for reports that read its state.
     network: FabricNetwork
     #: Windowed metrics (warmup and cooldown trimmed).
     metrics: PhaseMetrics
@@ -66,9 +59,8 @@ class RunResult:
 def run(scenario: Scenario, digest: str | None = None) -> RunResult:
     """Build the scenario's network, drive its workload, return the result.
 
-    ``digest`` attaches a :class:`~repro.sim.sanitizer.TraceDigest` for the
-    run: ``"hash"`` keeps only the streaming hash, ``"records"`` also keeps
-    every record (see :data:`DIGEST_MODES`).
+    ``digest`` (see :data:`DIGEST_MODES`) attaches a
+    :class:`~repro.sim.sanitizer.TraceDigest` to the run.
     """
     if digest not in DIGEST_MODES:
         raise ValueError(f"unknown digest mode {digest!r}; "
@@ -83,8 +75,7 @@ def run(scenario: Scenario, digest: str | None = None) -> RunResult:
         trace = TraceDigest(network.sim,
                             keep_records=digest == "records").attach()
     try:
-        # Wall-clock reads are reported, never fed back into the
-        # simulation.
+        # Host time is reported, never fed back into the simulation.
         started = time.perf_counter()  # simlint: disable=SL002
         metrics = network.run_workload()
         wall_s = time.perf_counter() - started  # simlint: disable=SL002

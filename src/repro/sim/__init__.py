@@ -35,7 +35,6 @@ from repro.sim.scheduler import CalendarQueue
 from repro.sim.sanitizer import (
     DeterminismReport,
     TraceDigest,
-    digest_run,
     run_twice_and_diff,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "Store",
     "Timeout",
     "TraceDigest",
-    "digest_run",
     "run_twice_and_diff",
 ]

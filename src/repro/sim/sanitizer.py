@@ -241,8 +241,8 @@ def run_twice_and_diff(
 
     ``run`` must build a *fresh* simulation from identical inputs (same
     seed, same config), execute it with an attached :class:`TraceDigest`,
-    and return that digest.  The :func:`digest_run` helper wraps the
-    common build-attach-run pattern.
+    and return that digest — for a whole network,
+    ``repro.fabric.run.run(scenario, digest="records").digest``.
     """
     first = run()
     second = run()
@@ -257,15 +257,3 @@ def run_twice_and_diff(
         tie_count=first.tie_count,
         tie_examples=list(first.tie_examples),
         divergence=divergence)
-
-
-def digest_run(sim: "Simulation",
-               drive: typing.Callable[[], typing.Any],
-               keep_records: bool = True) -> TraceDigest:
-    """Attach a digest to ``sim``, call ``drive()``, detach, return it."""
-    digest = TraceDigest(sim, keep_records=keep_records).attach()
-    try:
-        drive()
-    finally:
-        digest.detach()
-    return digest

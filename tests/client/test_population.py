@@ -19,7 +19,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigurationError
 from repro.fabric.network import FabricNetwork
-from repro.sim.sanitizer import digest_run
+from repro.sim.sanitizer import TraceDigest
 
 
 def build(num_users=1000, cohorts_per_channel=2, rate=60, duration=6,
@@ -207,13 +207,10 @@ def test_population_requires_cohorts():
 
 def run_digested(seed, **kwargs):
     network = build(seed=seed, **kwargs)
-    results = []
-
-    def drive():
-        results.append(network.run_workload())
-
-    digest = digest_run(network.sim, drive, keep_records=False)
-    return digest.hexdigest, results[0]
+    digest = TraceDigest(network.sim, keep_records=False).attach()
+    metrics = network.run_workload()
+    digest.detach()
+    return digest.hexdigest, metrics
 
 
 def test_same_seed_double_run_is_bit_identical():

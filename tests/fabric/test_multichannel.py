@@ -123,7 +123,7 @@ def test_wrong_channel_client_is_rejected():
 def test_heterogeneous_per_channel_rates_same_seed_digest():
     """Same-seed double run with per-channel mixes is bit-identical."""
     from repro.common.config import ChannelWorkload
-    from repro.sim.sanitizer import digest_run
+    from repro.fabric.run import Scenario, run
 
     def run_once(seed):
         topology = TopologyConfig(
@@ -140,14 +140,8 @@ def test_heterogeneous_per_channel_rates_same_seed_digest():
                          "beta": ChannelWorkload(rate=12,
                                                  workload="conflict",
                                                  key_space=9)})
-        network = FabricNetwork(topology, workload, seed=seed)
-        results = []
-
-        def drive():
-            results.append(network.run_workload())
-
-        digest = digest_run(network.sim, drive, keep_records=False)
-        return digest.hexdigest, results[0], network
+        result = run(Scenario(topology, workload, seed=seed), digest="hash")
+        return result.digest.hexdigest, result.metrics, result.network
 
     digest_a, metrics_a, network = run_once(seed=17)
     digest_b, metrics_b, _ = run_once(seed=17)

@@ -1,12 +1,15 @@
 """Tests for the runtime determinism sanitizer (trace digests, diffing)."""
 
 from repro.sim import RngRegistry, Simulation
-from repro.sim.sanitizer import (
-    TraceDigest,
-    diff_records,
-    digest_run,
-    run_twice_and_diff,
-)
+from repro.sim.sanitizer import TraceDigest, diff_records, run_twice_and_diff
+
+
+def digest_run(sim, keep_records: bool = True) -> TraceDigest:
+    """Run ``sim`` to completion with a trace digest attached."""
+    digest = TraceDigest(sim, keep_records=keep_records).attach()
+    sim.run()
+    digest.detach()
+    return digest
 
 
 def pingpong_model(seed: int = 1, jitter_name: str = "net"):
@@ -29,7 +32,7 @@ def pingpong_model(seed: int = 1, jitter_name: str = "net"):
 
 def run_model(seed: int = 1, **kwargs) -> TraceDigest:
     sim = pingpong_model(seed=seed, **kwargs)
-    return digest_run(sim, sim.run)
+    return digest_run(sim)
 
 
 def test_same_seed_same_digest():
@@ -145,7 +148,7 @@ def test_no_ties_in_strictly_ordered_model():
 
 def test_keep_records_false_still_digests():
     sim = pingpong_model(seed=9)
-    digest = digest_run(sim, sim.run, keep_records=False)
+    digest = digest_run(sim, keep_records=False)
     assert digest.records == []
     assert digest.events_recorded > 0
     assert digest.hexdigest == run_model(seed=9).hexdigest

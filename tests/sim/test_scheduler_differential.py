@@ -21,7 +21,7 @@ import pytest
 from repro.experiments import perfbench
 from repro.fabric.network import FabricNetwork
 from repro.sim.core import Simulation
-from repro.sim.sanitizer import TraceDigest, digest_run
+from repro.sim.sanitizer import TraceDigest
 
 #: The differential golden matrix: every perfbench scenario (8 at the
 #: time of writing; the parametrisation tracks the registry).
@@ -39,8 +39,10 @@ def _heap_digest(name: str) -> str:
         perfbench.GOLDEN_SEED)
     network = FabricNetwork(scenario.topology, scenario.workload,
                             seed=scenario.seed, scheduler="heap")
-    return digest_run(network.sim, network.run_workload,
-                      keep_records=False).hexdigest
+    trace = TraceDigest(network.sim, keep_records=False).attach()
+    network.run_workload()
+    trace.detach()
+    return trace.hexdigest
 
 
 @pytest.mark.parametrize("name", MATRIX)
