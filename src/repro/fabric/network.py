@@ -307,14 +307,16 @@ class FabricNetwork:
         start_at = self.STABILIZATION
         self.workload.start(at=start_at)
         horizon = start_at + self.workload_config.duration + self.DRAIN
+        window_start = start_at + self.workload_config.warmup
+        window_end = (start_at + self.workload_config.duration
+                      - self.workload_config.cooldown)
         if self.obs is not None:
+            # Exact windowed bottleneck reports, with or without sampler.
+            self.obs.mark(window_start, window_end)
             self.obs.start_sampler(until=horizon)
         self.context.sim.run(until=horizon)
         if self.obs is not None:
             self.obs.finish()
-        window_start = start_at + self.workload_config.warmup
-        window_end = (start_at + self.workload_config.duration
-                      - self.workload_config.cooldown)
         self.last_window = (window_start, window_end)
         self._export_statedb_counters()
         return self.context.metrics.aggregate(window_start, window_end)

@@ -69,6 +69,12 @@ class Observability:
     # Sampling lifecycle
     # ------------------------------------------------------------------
 
+    def mark(self, *times: float) -> None:
+        """Make windowed statistics exact at ``times`` on every monitor."""
+        for monitor in self.monitors.values():
+            for when in times:
+                monitor.mark(when)
+
     def start_sampler(self, until: float | None = None) -> None:
         """Start periodic checkpointing (bounded by ``until`` if given)."""
         self.sampler.start(until)

@@ -159,7 +159,12 @@ def bottleneck_report(tracer: Tracer,
 
     ``start``/``end`` bound the analysis to a measurement window (defaults
     to each monitor's lifetime); when either is given, the report records
-    the effective window, filling a missing bound from the monitors.  The
+    the effective window, filling a missing bound from the monitors.
+    Utilization and queue depth are exact at bounds marked before the run
+    (:meth:`~repro.obs.sampler.ResourceMonitor.mark`; ``run_workload``
+    marks its measurement window); any other window is interpolated from
+    the sampler's checkpoints, so without a sampler it reads close to the
+    whole-run average.  The
     bottleneck is the highest-utilization server pool; the saturated phase
     is that resource's phase when its utilization passes
     :data:`~repro.obs.queueing.SATURATION_THRESHOLD`.

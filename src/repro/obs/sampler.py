@@ -12,7 +12,9 @@ A :class:`UtilizationSampler` is a simulation process that periodically
 checkpoints every monitor.  Checkpoints carry the running integrals, so
 utilization and mean queue depth over any ``[start, end)`` window can be
 recovered exactly at the enclosing checkpoints (and linearly interpolated
-between them) — the basis of windowed bottleneck attribution.
+between them) — the basis of windowed bottleneck attribution.  Times
+registered in advance with :meth:`ResourceMonitor.mark` (the measurement
+window's bounds) are exact without any checkpoint or extra event.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ class ResourceMonitor:
         self._attached_at = sim.now
         self.checkpoints: list[Checkpoint] = []
         self._checkpoint_times: list[float] = []
+        #: Marked times not reached yet (ascending), and the exact
+        #: (busy, queue) integrals captured at the ones already passed.
+        self._pending_marks: list[float] = []
+        self._marks: dict[float, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Kernel callbacks
@@ -92,6 +98,15 @@ class ResourceMonitor:
         now = self.sim.now
         elapsed = now - self._last_time
         if elapsed > 0:
+            pending = self._pending_marks
+            while pending and pending[0] <= now:
+                # State is constant since _last_time, so the integrals
+                # at the marked time are exact.
+                when = pending.pop(0)
+                gap = when - self._last_time
+                self._marks[when] = (self._busy_integral + self._busy * gap,
+                                     self._queue_integral
+                                     + self._queue * gap)
             self._busy_integral += self._busy * elapsed
             self._queue_integral += self._queue * elapsed
             self._last_time = now
@@ -147,16 +162,29 @@ class ResourceMonitor:
         self._checkpoint_times.append(point.time)
         return point
 
+    def mark(self, when: float) -> None:
+        """Capture the exact integrals at ``when`` once accounting passes it.
+
+        The first state change at or after ``when`` stores them; no event
+        is scheduled, so marking leaves the schedule untouched.  A time
+        already behind the accounting point is ignored.
+        """
+        if when >= self._last_time:
+            bisect.insort(self._pending_marks, when)
+
     def _integrals_at(self, when: float) -> tuple[float, float]:
         """Busy/queue integrals at ``when``.
 
-        Exact at every checkpoint and at the live accounting point
-        (``_last_time``, kept current by :meth:`_advance`); linearly
-        interpolated in between, extrapolated with the current state
-        beyond.
+        Exact at every captured :meth:`mark`, every checkpoint and the
+        live accounting point (``_last_time``, kept current by
+        :meth:`_advance`); linearly interpolated in between, extrapolated
+        with the current state beyond.
         """
         if when <= self._attached_at:
             return 0.0, 0.0
+        marked = self._marks.get(when)
+        if marked is not None:
+            return marked
         if when >= self._last_time:
             extra = when - self._last_time
             return (self._busy_integral + self._busy * extra,

@@ -112,6 +112,35 @@ def test_tracing_is_default_off_and_timing_neutral():
     assert observed.bottleneck_report().resources
 
 
+def test_window_report_is_the_same_with_and_without_the_sampler():
+    """The measurement window is read exactly, sampler or not.
+
+    Without sampler checkpoints the window used to be interpolated from
+    the attach time to the horizon, i.e. the whole-run mean: on this run
+    it named peer9's validator pool at 51% busy instead of peer0's at 93%.
+    """
+    def report(sample_interval):
+        result = run(Scenario(make_topology("solo", "AND5", 10),
+                              make_workload(250.0, 6.0), seed=1,
+                              observe=True,
+                              sample_interval=sample_interval))
+        return result.network.bottleneck_report()
+
+    unsampled, sampled = report(None), report(0.05)
+    assert unsampled.window == sampled.window == (3.5, 7.0)
+    assert unsampled.bottleneck.name == sampled.bottleneck.name
+    assert unsampled.bottleneck.utilization == pytest.approx(
+        sampled.bottleneck.utilization, rel=1e-9)
+    assert unsampled.bottleneck.utilization > 0.9
+    sampled_by_name = {usage.name: usage for usage in sampled.resources}
+    for usage in unsampled.resources:
+        other = sampled_by_name[usage.name]
+        assert usage.utilization == pytest.approx(other.utilization,
+                                                  rel=1e-9, abs=1e-12)
+        assert usage.mean_queue == pytest.approx(other.mean_queue,
+                                                 rel=1e-9, abs=1e-12)
+
+
 def test_bottleneck_report_requires_observe():
     from repro.common.errors import ConfigurationError
 

@@ -90,6 +90,54 @@ def test_store_monitor_records_depth():
     assert monitor.max_queue == 2
 
 
+def test_marked_window_is_exact_without_checkpoints():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1, name="cpu")
+    monitor = watch_resource(resource)
+    monitor.mark(3.0)
+    monitor.mark(7.0)
+
+    def worker():
+        yield sim.timeout(2.0)
+        yield from resource.use(2.0)        # busy over [2, 4)
+        yield sim.timeout(4.0)
+        yield from resource.use(2.0)        # busy over [8, 10)
+
+    sim.process(worker())
+    sim.run()
+    # Busy 1 s of the 4 s window [3, 7); the whole-run mean is 4/10.
+    assert monitor.utilization(3.0, 7.0) == 0.25
+    assert monitor.utilization() == pytest.approx(0.4)
+    # An unmarked bound is still interpolated: 6.0 reads 0.4 x 6 = 2.4
+    # busy-seconds (exactly: 2.0), so [3, 6) reads 1.4/3, not 1/3.
+    assert monitor.utilization(3.0, 6.0) == pytest.approx(1.4 / 3)
+    assert not monitor.checkpoints
+
+
+def test_mark_behind_the_accounting_point_is_ignored():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1, name="cpu")
+    monitor = watch_resource(resource)
+
+    def worker():
+        yield from resource.use(2.0)
+
+    sim.process(worker())
+    sim.run()
+    monitor.mark(1.0)
+    monitor.mark(5.0)
+    assert monitor._pending_marks == [5.0]
+
+
+def test_sampler_without_interval_never_starts():
+    sim = Simulation()
+    sampler = UtilizationSampler(sim, {}, interval=None)
+    sampler.start(until=5.0)
+    sim.run(until=10.0)
+    assert sampler.samples_taken == 0
+    assert sim.events_processed == 0
+
+
 def test_sampler_checkpoints_all_monitors_and_stops_at_until():
     sim = Simulation()
     resource = Resource(sim, capacity=1, name="cpu")
