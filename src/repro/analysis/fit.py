@@ -279,7 +279,7 @@ class EmpiricalFit(CostFit):
         """Fit from a completed observed run (``observe=True``)."""
         if network.obs is None:
             raise ValueError("empirical fit needs an observed network "
-                             "(FabricNetwork(..., observe=True))")
+                             "(Scenario(..., observe=True))")
         orderer = network.topology.orderer
         return cls.from_spans(
             network.obs.tracer.spans,

@@ -6,9 +6,8 @@ Usage sketch::
 
     schedule = FaultSchedule().crash("@leader", at=6.0).recover("@leader",
                                                                 at=10.0)
-    network = FabricNetwork(topology, workload, seed=1, faults=schedule)
-    metrics = network.run_workload()
-    report = network.recovery_report(fault_time=6.0)
+    result = run(Scenario(topology, workload, seed=1, faults=schedule))
+    report = result.network.recovery_report(fault_time=6.0)
 
 All fault transitions fire at fixed simulated times through one injector
 process, and every crash/recover goes through ``NodeBase.crash()`` /
