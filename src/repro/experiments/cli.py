@@ -7,7 +7,7 @@ Usage::
     fabric-repro all --seed 7
     repro lint
     repro check-determinism            # solo + kafka + raft double runs
-    repro check-determinism --orderer raft
+    repro check-determinism --orderer raft --rate 30 --duration 2
     repro faults --smoke               # single run of every fault scenario
     repro faults --scenario raft-leader-kill   # double run + criteria
     repro statedb                      # state-DB backend ablation (Thakkar)
@@ -17,9 +17,11 @@ Usage::
     repro trace --summary-out trace_summary.json  # critical-path + queueing
     repro obs-diff --baseline BENCH_PR10.json --candidate BENCH_NEW.json
     repro crossval --smoke --out crossval.json  # analytic model vs sim gate
-    repro capacity --target-tps 300 --max-p95 2.0 --policy AND5
+    repro capacity --target-tps 300 --max-p95 2.0 --policy AND5 --json
 
-(``repro`` and ``fabric-repro`` are the same entry point.)
+Each command is its own subparser and accepts only the flags it reads;
+``repro COMMAND --help`` lists them.  (``repro`` and ``fabric-repro`` are
+the same entry point.)
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import pathlib
 import sys
 import typing
 
+from repro.experiments import perfbench
+from repro.experiments.determinism import CHECK_DURATION, CHECK_RATE
+from repro.experiments.faults import SCENARIOS as FAULT_SCENARIOS
 from repro.experiments.figures import (
     run_fig2_fig3,
     run_fig4_fig5,
@@ -41,12 +46,12 @@ from repro.experiments.tables import run_table1, run_table2_table3
 EXPERIMENT_IDS = ["tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                   "tab2", "tab3", "fig8"]
 
+ORDERERS = ["solo", "kafka", "raft"]
+
 
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: one observed run, bottleneck report,
     critical-path attribution, and the queueing observatory."""
-    import json
-
     from repro.experiments.report import bottleneck_result
     from repro.experiments.runner import (
         DEFAULT_PEERS,
@@ -96,24 +101,16 @@ def _run_trace(args) -> int:
 
 def _run_obs_diff(args) -> int:
     """The ``obs-diff`` subcommand: perf-regression gate for CI."""
-    import json
-
     from repro.obs.regression import diff_files, render_diff
 
-    if not args.baseline:
-        print("obs-diff: --baseline PATH is required", file=sys.stderr)
-        return 2
-    if not args.candidate:
-        print("obs-diff: --candidate PATH is required", file=sys.stderr)
-        return 2
     result = diff_files(args.baseline, args.candidate,
                         tolerance=args.tolerance,
                         wall_tolerance=args.tol_wall,
                         events_rate_tolerance=args.tol_events_rate)
-    if args.diff_json:
+    if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
     else:
-        print(render_diff(result, verbose=args.diff_verbose))
+        print(render_diff(result, verbose=args.verbose))
     return 0 if result.ok else 1
 
 
@@ -129,9 +126,8 @@ def _run_lint(args) -> int:
     from repro.analysis_tools.simlint.engine import LintResult
     from repro.analysis_tools.simlint.profiles import linter_for, rules_for
 
-    project = bool(args.lint_project)
     if args.paths:
-        runs = [(args.lint_profile, list(args.paths))]
+        runs = [(args.profile, list(args.paths))]
     else:
         runs = [("strict", [_default_lint_root()])]
         repo_root = pathlib.Path(_default_lint_root()).parent.parent
@@ -144,8 +140,8 @@ def _run_lint(args) -> int:
     files_checked = 0
     suppressed = 0
     for profile, paths in runs:
-        linter = linter_for(profile, project=project)
-        partial = linter.lint_paths(paths, project=project)
+        linter = linter_for(profile, project=args.project)
+        partial = linter.lint_paths(paths, project=args.project)
         diagnostics.extend(partial.diagnostics)
         files_checked += partial.files_checked
         suppressed += partial.suppressed
@@ -165,13 +161,13 @@ def _run_lint(args) -> int:
     fresh = (lint_output.new_errors(result, baseline)
              if baseline is not None else None)
 
-    if args.lint_format == "text":
+    if args.format == "text":
         report = result.render()
         if fresh is not None:
             report += (f"\nsimlint: {len(fresh)} new error(s) vs baseline "
                        f"{args.baseline}")
     else:
-        if args.lint_format == "sarif":
+        if args.format == "sarif":
             payload = lint_output.to_sarif(
                 result, rules_for("strict", project=True))
         else:
@@ -199,17 +195,9 @@ def _default_lint_root() -> str:
 def _run_check_determinism(args) -> int:
     """The ``check-determinism`` subcommand: same-seed double runs."""
     from repro.common.config import StateDBConfig
-    from repro.experiments.determinism import (
-        CHECK_DURATION,
-        CHECK_RATE,
-        check_point_determinism,
-    )
+    from repro.experiments.determinism import check_point_determinism
 
-    kinds = (["solo", "kafka", "raft"] if args.orderer is None
-             else [args.orderer])
-    rate = args.check_rate if args.check_rate is not None else CHECK_RATE
-    duration = (args.check_duration if args.check_duration is not None
-                else CHECK_DURATION)
+    kinds = ORDERERS if args.orderer is None else [args.orderer]
     statedb = None
     workload_kind = "unique"
     if args.statedb == "couchdb":
@@ -224,7 +212,7 @@ def _run_check_determinism(args) -> int:
     failures = 0
     for kind in kinds:
         check = check_point_determinism(
-            kind, rate=rate, duration=duration, seed=args.seed,
+            kind, rate=args.rate, duration=args.duration, seed=args.seed,
             keep_records=not args.digest_only, statedb=statedb,
             workload_kind=workload_kind)
         print(check.render())
@@ -300,8 +288,6 @@ def _run_scale(args) -> int:
     nothing, builds more clients than cohorts, or loses a cohort's
     metrics — the O(cohorts) contract the subsystem guarantees.
     """
-    import json
-
     from repro.experiments.farm import FarmError
     from repro.experiments.scale import (
         ScaleSweep,
@@ -316,8 +302,8 @@ def _run_scale(args) -> int:
             peers=args.peers if args.peers is not None else 100,
             channels=args.channels if args.channels is not None else 4,
             users=args.users if args.users is not None else 1_000_000,
-            rate=args.scale_rate,
-            duration=args.scale_duration,
+            rate=args.rate,
+            duration=args.duration,
             cohorts_per_channel=args.cohorts,
             seed=args.seed)
         sweep = ScaleSweep(points=[point], mode="point", seed=args.seed)
@@ -416,17 +402,14 @@ def _run_capacity(args) -> int:
     """
     from repro.analysis.planner import plan_capacity
 
-    if args.target_tps is None:
-        print("capacity: --target-tps RATE is required", file=sys.stderr)
-        return 2
     plan = plan_capacity(
         target_tps=args.target_tps,
         max_p95=args.max_p95,
         policy=args.policy,
-        orderer_kind=args.orderer if args.orderer is not None else "solo",
-        statedb_kind=args.statedb if args.statedb is not None else "leveldb",
-        workload_kind=args.plan_workload)
-    if args.plan_json:
+        orderer_kind=args.orderer,
+        statedb_kind=args.statedb,
+        workload_kind=args.workload)
+    if args.json:
         print(json.dumps(plan.as_dict(), indent=2, sort_keys=True))
     else:
         print(plan.render())
@@ -458,250 +441,8 @@ def _results_for(experiment_id: str, mode: str, seed: int):
     raise ValueError(f"unknown experiment {experiment_id!r}")
 
 
-def main(argv: typing.Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fabric-repro",
-        description="Regenerate the tables and figures of Wang & Chu, "
-                    "'Performance Characterization and Bottleneck Analysis "
-                    "of Hyperledger Fabric' (ICDCS 2020).")
-    parser.add_argument("experiment",
-                        choices=(EXPERIMENT_IDS
-                                 + ["all", "trace", "lint",
-                                    "check-determinism", "faults",
-                                    "statedb", "perfbench", "obs-diff",
-                                    "scale", "crossval", "capacity"]),
-                        help="which artifact to regenerate; 'trace' for an "
-                             "observed run with bottleneck attribution, "
-                             "critical-path extraction, and the queueing "
-                             "observatory; 'obs-diff' for the perf-"
-                             "regression gate between two bench files; "
-                             "'lint' for the simlint determinism analyzer; "
-                             "'check-determinism' for same-seed double-run "
-                             "schedule diffing; 'faults' for the "
-                             "fault-injection recovery scenarios; 'statedb' "
-                             "for the state-database backend ablation; "
-                             "'perfbench' for wall-clock benchmarks of the "
-                             "simulator itself with golden-digest checks; "
-                             "'scale' for peers x channels x population "
-                             "sweeps with aggregated client cohorts; "
-                             "'crossval' for the analytic-model-vs-"
-                             "simulator accuracy gate; 'capacity' for the "
-                             "closed-form capacity planner")
-    parser.add_argument("--full", action="store_true",
-                        help="run the paper-scale sweep (slower)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="simulation seed (default 1)")
-    parser.add_argument("--plot", action="store_true",
-                        help="render figure-shaped ASCII charts as well")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the perfbench / "
-                             "crossval / scale matrices (default 1: run "
-                             "inline; results and report order are "
-                             "identical at any width)")
-    trace_group = parser.add_argument_group(
-        "trace options", "only used with the 'trace' experiment")
-    trace_group.add_argument("--orderer", default=None,
-                             choices=["solo", "kafka", "raft"],
-                             help="ordering service kind (default solo for "
-                                  "trace; all three for check-determinism)")
-    trace_group.add_argument("--policy", default="AND5",
-                             help="endorsement policy (default AND5)")
-    trace_group.add_argument("--rate", type=float, default=250.0,
-                             help="offered load in tx/s (default 250, past "
-                                  "the AND5 validate capacity)")
-    trace_group.add_argument("--duration", type=float, default=15.0,
-                             help="workload duration in simulated seconds")
-    trace_group.add_argument("--sample-interval", type=float, default=0.05,
-                             help="utilization sampling period (seconds)")
-    trace_group.add_argument("--top", type=int, default=12,
-                             help="resources to list in the report")
-    trace_group.add_argument("--trace-out", default=None, metavar="PATH",
-                             help="write a Chrome trace_event JSON file "
-                                  "(view in Perfetto / chrome://tracing)")
-    trace_group.add_argument("--summary-out", default=None, metavar="PATH",
-                             help="write the critical-path + queueing "
-                                  "summary JSON (obs-diff comparable)")
-    lint_group = parser.add_argument_group(
-        "lint options",
-        "only used with the 'lint' experiment; --out writes the report "
-        "to a file and --baseline names an accepted-findings file "
-        "(shared flags)")
-    lint_group.add_argument("--path", dest="paths", action="append",
-                            default=None, metavar="DIR",
-                            help="file or directory to lint (repeatable; "
-                                 "default: the installed repro package "
-                                 "plus tests/ and benchmarks/ with the "
-                                 "relaxed profile)")
-    lint_group.add_argument("--project", dest="lint_project",
-                            action="store_true",
-                            help="also run the cross-file rules (SL012/"
-                                 "SL014/SL015) over the project symbol "
-                                 "table and call graph")
-    lint_group.add_argument("--profile", dest="lint_profile",
-                            default="strict",
-                            choices=["strict", "relaxed"],
-                            help="rule profile for explicitly given "
-                                 "--path targets (default strict; the "
-                                 "default sweep picks per-tree profiles "
-                                 "itself)")
-    lint_group.add_argument("--format", dest="lint_format",
-                            default="text",
-                            choices=["text", "json", "sarif"],
-                            help="report format (default text; sarif is "
-                                 "SARIF 2.1.0 for code-scanning upload)")
-    lint_group.add_argument("--write-baseline", dest="write_baseline",
-                            default=None, metavar="PATH",
-                            help="accept the current findings: write "
-                                 "their fingerprints to PATH and exit 0")
-    check_group = parser.add_argument_group(
-        "check-determinism options",
-        "only used with the 'check-determinism' experiment; --orderer, "
-        "--seed also apply")
-    check_group.add_argument("--check-rate", type=float, default=None,
-                             help="offered load for the double runs "
-                                  "(default 60 tx/s)")
-    check_group.add_argument("--check-duration", type=float, default=None,
-                             help="workload duration for the double runs "
-                                  "(default 4 simulated seconds)")
-    check_group.add_argument("--digest-only", action="store_true",
-                             help="skip per-event record keeping (lower "
-                                  "memory; no first-divergence report)")
-    check_group.add_argument("--statedb", default=None,
-                             choices=["leveldb", "couchdb"],
-                             help="state-database backend for the double "
-                                  "runs (couchdb enables cache, bulk "
-                                  "batching, and snapshots on the "
-                                  "read-write workload)")
-    faults_group = parser.add_argument_group(
-        "faults options",
-        "only used with the 'faults' experiment; --seed also applies")
-    faults_group.add_argument("--scenario", default=None,
-                              choices=["raft-leader-kill",
-                                       "kafka-broker-kill",
-                                       "peer-wipe-recover"],
-                              help="run one scenario (default: all)")
-    faults_group.add_argument("--smoke", action="store_true",
-                              help="single run per scenario instead of the "
-                                   "same-seed determinism double run; for "
-                                   "perfbench: the scaled-down CI subset")
-    perf_group = parser.add_argument_group(
-        "perfbench options",
-        "only used with the 'perfbench' experiment; --seed and --smoke "
-        "also apply")
-    perf_group.add_argument("--perf-scenario", dest="scenarios",
-                            action="append", default=None, metavar="NAME",
-                            help="benchmark one scenario (repeatable; "
-                                 "default: all, or the smoke subset with "
-                                 "--smoke)")
-    perf_group.add_argument("--out", default=None, metavar="PATH",
-                            help="write the {scenario: {wall_s, sim_tps, "
-                                 "events_per_s}} benchmark JSON to PATH")
-    perf_group.add_argument("--check-golden", action="store_true",
-                            help="fail if any run's trace digest diverges "
-                                 "from the committed golden value")
-    perf_group.add_argument("--update-golden", action="store_true",
-                            help="deliberately regenerate the committed "
-                                 "golden digests from this run")
-    perf_group.add_argument("--repeats", type=int, default=1, metavar="N",
-                            help="time each scenario N times and keep the "
-                                 "fastest wall clock (best-of-N; default 1). "
-                                 "The schedule and digest are identical "
-                                 "across repeats — only host noise varies")
-    scale_group = parser.add_argument_group(
-        "scale options",
-        "only used with the 'scale' experiment; --seed, --smoke, and "
-        "--out also apply.  Giving any of --peers/--channels/--users "
-        "runs one point (defaults 100 peers, 4 channels, 1,000,000 "
-        "users) instead of the sweep grid")
-    scale_group.add_argument("--peers", type=int, default=None,
-                             help="total peers (committing-only beyond "
-                                  "the 10-peer endorsing core)")
-    scale_group.add_argument("--channels", type=int, default=None,
-                             help="number of channels (ch1..chN; every "
-                                  "peer joins all of them)")
-    scale_group.add_argument("--users", type=int, default=None,
-                             help="aggregated population size; load is "
-                                  "superposed-Poisson, so kernel cost is "
-                                  "O(cohorts) regardless of this value")
-    scale_group.add_argument("--cohorts", type=int, default=2,
-                             help="cohorts per channel (default 2); each "
-                                  "cohort is one kernel process and one "
-                                  "client node")
-    scale_group.add_argument("--scale-rate", type=float, default=150.0,
-                             help="aggregate offered load in tx/s across "
-                                  "all channels (default 150)")
-    scale_group.add_argument("--scale-duration", type=float, default=8.0,
-                             help="workload duration in simulated seconds "
-                                  "(default 8)")
-    capacity_group = parser.add_argument_group(
-        "capacity options",
-        "only used with the 'capacity' experiment; --policy, --orderer, "
-        "--statedb, and --out also apply (crossval reuses --smoke, "
-        "--seed, --perf-scenario, and --out)")
-    capacity_group.add_argument("--target-tps", type=float, default=None,
-                                help="throughput the deployment must "
-                                     "sustain (tx/s)")
-    capacity_group.add_argument("--max-p95", type=float, default=None,
-                                help="end-to-end p95 latency bound in "
-                                     "seconds (default: unbounded)")
-    capacity_group.add_argument("--plan-workload", default="unique",
-                                choices=["unique", "conflict"],
-                                help="transaction shape to plan for "
-                                     "(default unique)")
-    capacity_group.add_argument("--plan-json", action="store_true",
-                                help="print the plan as JSON instead of "
-                                     "the text summary")
-    diff_group = parser.add_argument_group(
-        "obs-diff options", "only used with the 'obs-diff' experiment")
-    diff_group.add_argument("--baseline", default=None, metavar="PATH",
-                            help="baseline BENCH_*.json or trace-summary "
-                                 "file (the accepted reference)")
-    diff_group.add_argument("--candidate", default=None, metavar="PATH",
-                            help="candidate measurement file to gate")
-    diff_group.add_argument("--tolerance", type=float, default=0.05,
-                            help="relative tolerance for deterministic "
-                                 "metrics (default 0.05)")
-    diff_group.add_argument("--tol-wall", type=float, default=None,
-                            metavar="FRAC",
-                            help="also gate wall-clock time at this "
-                                 "relative tolerance (default: report "
-                                 "only; wall time is machine-dependent)")
-    diff_group.add_argument("--tol-events-rate", type=float, default=None,
-                            metavar="FRAC",
-                            help="also gate the kernel event rate "
-                                 "(events_per_s) at this relative "
-                                 "tolerance (default: report only; the "
-                                 "rate is machine-dependent, gate it "
-                                 "only against a same-host baseline)")
-    diff_group.add_argument("--diff-json", action="store_true",
-                            help="emit the full diff as JSON")
-    diff_group.add_argument("--diff-verbose", action="store_true",
-                            help="list every compared metric, not just "
-                                 "regressions")
-    args = parser.parse_args(argv)
-
-    if args.experiment == "lint":
-        return _run_lint(args)
-    if args.experiment == "check-determinism":
-        return _run_check_determinism(args)
-    if args.experiment == "faults":
-        return _run_faults(args)
-    if args.experiment == "statedb":
-        return _run_statedb(args)
-    if args.experiment == "perfbench":
-        return _run_perfbench(args)
-    if args.experiment == "obs-diff":
-        return _run_obs_diff(args)
-    if args.experiment == "scale":
-        return _run_scale(args)
-    if args.experiment == "crossval":
-        return _run_crossval(args)
-    if args.experiment == "capacity":
-        return _run_capacity(args)
-    if args.experiment == "trace":
-        if args.orderer is None:
-            args.orderer = "solo"
-        return _run_trace(args)
+def _run_artifacts(args) -> int:
+    """The artifact commands: one table/figure id, or ``all`` of them."""
     mode = "full" if args.full else "quick"
     if args.experiment == "all":
         # Run paired experiments once each.
@@ -724,6 +465,241 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
                 print(chart)
                 print()
     return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fabric-repro",
+        description="Regenerate the tables and figures of Wang & Chu, "
+                    "'Performance Characterization and Bottleneck Analysis "
+                    "of Hyperledger Fabric' (ICDCS 2020).")
+    commands = parser.add_subparsers(dest="experiment", required=True,
+                                     metavar="experiment")
+
+    # Parents hold only the flags several commands read with one meaning.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=1,
+                      help="simulation seed (default 1)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, metavar="PATH",
+                     help="write the command's report to PATH")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="worker processes for the matrix (default 1: run "
+                           "inline; results and report order are identical "
+                           "at any width)")
+    artifact = argparse.ArgumentParser(add_help=False, parents=[seed])
+    artifact.add_argument("--full", action="store_true",
+                          help="run the paper-scale sweep (slower)")
+    artifact.add_argument("--plot", action="store_true",
+                          help="render figure-shaped ASCII charts as well")
+
+    def command(name, func, summary, parents=()):
+        sub = commands.add_parser(name, help=summary, parents=list(parents))
+        sub.set_defaults(func=func)
+        return sub
+
+    for name in EXPERIMENT_IDS:
+        command(name, _run_artifacts, f"regenerate {name}", [artifact])
+    command("all", _run_artifacts, "regenerate every table and figure",
+            [artifact])
+
+    trace = command("trace", _run_trace,
+                    "an observed run with bottleneck attribution, "
+                    "critical-path extraction, and the queueing observatory",
+                    [seed])
+    trace.add_argument("--orderer", default="solo", choices=ORDERERS,
+                       help="ordering service kind (default solo)")
+    trace.add_argument("--policy", default="AND5",
+                       help="endorsement policy (default AND5)")
+    trace.add_argument("--rate", type=float, default=250.0,
+                       help="offered load in tx/s (default 250, past the "
+                            "AND5 validate capacity)")
+    trace.add_argument("--duration", type=float, default=15.0,
+                       help="workload duration in simulated seconds")
+    trace.add_argument("--sample-interval", type=float, default=0.05,
+                       help="utilization sampling period (seconds)")
+    trace.add_argument("--top", type=int, default=12,
+                       help="resources to list in the report")
+    trace.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write a Chrome trace_event JSON file (view in "
+                            "Perfetto / chrome://tracing)")
+    trace.add_argument("--summary-out", default=None, metavar="PATH",
+                       help="write the critical-path + queueing summary "
+                            "JSON (obs-diff comparable)")
+
+    lint = command("lint", _run_lint, "the simlint determinism analyzer",
+                   [out])
+    lint.add_argument("--path", dest="paths", action="append", default=None,
+                      metavar="DIR",
+                      help="file or directory to lint (repeatable; default: "
+                           "the installed repro package plus tests/ and "
+                           "benchmarks/ with the relaxed profile)")
+    lint.add_argument("--project", action="store_true",
+                      help="also run the cross-file rules (SL012/SL014/"
+                           "SL015) over the project symbol table and call "
+                           "graph")
+    lint.add_argument("--profile", default="strict",
+                      choices=["strict", "relaxed"],
+                      help="rule profile for explicitly given --path "
+                           "targets (default strict; the default sweep "
+                           "picks per-tree profiles itself)")
+    lint.add_argument("--format", default="text",
+                      choices=["text", "json", "sarif"],
+                      help="report format (default text; sarif is SARIF "
+                           "2.1.0 for code-scanning upload)")
+    lint.add_argument("--baseline", default=None, metavar="PATH",
+                      help="accepted-findings file: fail only on new "
+                           "error-severity findings")
+    lint.add_argument("--write-baseline", default=None, metavar="PATH",
+                      help="accept the current findings: write their "
+                           "fingerprints to PATH and exit 0")
+
+    check = command("check-determinism", _run_check_determinism,
+                    "same-seed double-run schedule diffing", [seed])
+    check.add_argument("--orderer", default=None, choices=ORDERERS,
+                       help="ordering service kind (default: all three)")
+    check.add_argument("--rate", type=float, default=CHECK_RATE,
+                       help=f"offered load for the double runs (default "
+                            f"{CHECK_RATE:g} tx/s)")
+    check.add_argument("--duration", type=float, default=CHECK_DURATION,
+                       help=f"workload duration for the double runs "
+                            f"(default {CHECK_DURATION:g} simulated seconds)")
+    check.add_argument("--digest-only", action="store_true",
+                       help="skip per-event record keeping (lower memory; "
+                            "no first-divergence report)")
+    check.add_argument("--statedb", default=None,
+                       choices=["leveldb", "couchdb"],
+                       help="state-database backend for the double runs "
+                            "(couchdb enables cache, bulk batching, and "
+                            "snapshots on the read-write workload)")
+
+    faults = command("faults", _run_faults,
+                     "the fault-injection recovery scenarios", [seed])
+    faults.add_argument("--scenario", default=None,
+                        choices=sorted(FAULT_SCENARIOS),
+                        help="run one scenario (default: all)")
+    faults.add_argument("--smoke", action="store_true",
+                        help="single run per scenario instead of the "
+                             "same-seed determinism double run")
+    faults.add_argument("--digest-only", action="store_true",
+                        help="skip per-event record keeping in the double "
+                             "run (lower memory; no first-divergence report)")
+
+    statedb = command("statedb", _run_statedb,
+                      "the state-database backend ablation", [seed])
+    statedb.add_argument("--full", action="store_true",
+                         help="run the paper-scale ablation (slower)")
+
+    perf = command("perfbench", _run_perfbench,
+                   "wall-clock benchmarks of the simulator itself with "
+                   "golden-digest checks", [seed, out, jobs])
+    crossval = command("crossval", _run_crossval,
+                       "the analytic-model-vs-simulator accuracy gate",
+                       [seed, out, jobs])
+    for sub in (perf, crossval):
+        sub.add_argument("--scenario", dest="scenarios", action="append",
+                         default=None, metavar="NAME",
+                         choices=sorted(perfbench.SCENARIOS),
+                         help="run one perfbench scenario (repeatable; "
+                              "default: all, or the smoke subset with "
+                              "--smoke)")
+        sub.add_argument("--smoke", action="store_true",
+                         help="the scaled-down CI subset")
+    perf.add_argument("--check-golden", action="store_true",
+                      help="fail if any run's trace digest diverges from "
+                           "the committed golden value")
+    perf.add_argument("--update-golden", action="store_true",
+                      help="deliberately regenerate the committed golden "
+                           "digests from this run")
+    perf.add_argument("--repeats", type=int, default=1, metavar="N",
+                      help="time each scenario N times and keep the fastest "
+                           "wall clock (best-of-N; default 1).  The schedule "
+                           "and digest are identical across repeats — only "
+                           "host noise varies")
+
+    scale = command("scale", _run_scale,
+                    "peers x channels x population sweeps with aggregated "
+                    "client cohorts", [seed, out, jobs])
+    scale.add_argument("--smoke", action="store_true",
+                       help="the scaled-down CI sweep grid")
+    point = scale.add_argument_group(
+        "single point", "giving any of these runs one point (defaults 100 "
+        "peers, 4 channels, 1,000,000 users) instead of the sweep grid")
+    point.add_argument("--peers", type=int, default=None,
+                       help="total peers (committing-only beyond the "
+                            "10-peer endorsing core)")
+    point.add_argument("--channels", type=int, default=None,
+                       help="number of channels (ch1..chN; every peer "
+                            "joins all of them)")
+    point.add_argument("--users", type=int, default=None,
+                       help="aggregated population size; load is "
+                            "superposed-Poisson, so kernel cost is "
+                            "O(cohorts) regardless of this value")
+    scale.add_argument("--cohorts", type=int, default=2,
+                       help="cohorts per channel (default 2); each cohort "
+                            "is one kernel process and one client node")
+    scale.add_argument("--rate", type=float, default=150.0,
+                       help="aggregate offered load in tx/s across all "
+                            "channels (default 150)")
+    scale.add_argument("--duration", type=float, default=8.0,
+                       help="workload duration in simulated seconds "
+                            "(default 8)")
+
+    capacity = command("capacity", _run_capacity,
+                       "the closed-form capacity planner", [out])
+    capacity.add_argument("--target-tps", type=float, required=True,
+                          help="throughput the deployment must sustain "
+                               "(tx/s)")
+    capacity.add_argument("--max-p95", type=float, default=None,
+                          help="end-to-end p95 latency bound in seconds "
+                               "(default: unbounded)")
+    capacity.add_argument("--policy", default="AND5",
+                          help="endorsement policy (default AND5)")
+    capacity.add_argument("--orderer", default="solo", choices=ORDERERS,
+                          help="ordering service kind (default solo)")
+    capacity.add_argument("--statedb", default="leveldb",
+                          choices=["leveldb", "couchdb"],
+                          help="state-database backend (default leveldb)")
+    capacity.add_argument("--workload", default="unique",
+                          choices=["unique", "conflict"],
+                          help="transaction shape to plan for "
+                               "(default unique)")
+    capacity.add_argument("--json", action="store_true",
+                          help="print the plan as JSON instead of the text "
+                               "summary")
+
+    diff = command("obs-diff", _run_obs_diff,
+                   "the perf-regression gate between two bench files")
+    diff.add_argument("--baseline", required=True, metavar="PATH",
+                      help="baseline BENCH_*.json or trace-summary file "
+                           "(the accepted reference)")
+    diff.add_argument("--candidate", required=True, metavar="PATH",
+                      help="candidate measurement file to gate")
+    diff.add_argument("--tolerance", type=float, default=0.05,
+                      help="relative tolerance for deterministic metrics "
+                           "(default 0.05)")
+    diff.add_argument("--tol-wall", type=float, default=None, metavar="FRAC",
+                      help="also gate wall-clock time at this relative "
+                           "tolerance (default: report only; wall time is "
+                           "machine-dependent)")
+    diff.add_argument("--tol-events-rate", type=float, default=None,
+                      metavar="FRAC",
+                      help="also gate the kernel event rate (events_per_s) "
+                           "at this relative tolerance (default: report "
+                           "only; the rate is machine-dependent, gate it "
+                           "only against a same-host baseline)")
+    diff.add_argument("--json", action="store_true",
+                      help="emit the full diff as JSON")
+    diff.add_argument("--verbose", action="store_true",
+                      help="list every compared metric, not just "
+                           "regressions")
+    return parser
+
+
+def main(argv: typing.Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,7 +23,7 @@ CLI::
 
     repro crossval --smoke                  # CI gate, scaled-down subset
     repro crossval                          # full perfbench matrix
-    repro crossval --perf-scenario solo-and-leveldb --out crossval.json
+    repro crossval --scenario solo-and-leveldb --out crossval.json
 """
 
 from __future__ import annotations

@@ -1,4 +1,11 @@
-"""The bundle of simulation services every node is constructed from."""
+"""The bundle of simulation services every node is constructed from.
+
+:meth:`NetworkContext.create` builds the one product kernel,
+:class:`~repro.sim.core.Simulation`.  It looks the class up in this
+module's namespace at call time, so the differential tests swap in the
+binary-heap oracle (``HeapSimulation``, ``tests/sim/heap_oracle.py``)
+with ``monkeypatch.setattr(repro.runtime.context, "Simulation", ...)``.
+"""
 
 from __future__ import annotations
 
@@ -32,16 +39,11 @@ class NetworkContext:
     @classmethod
     def create(cls, seed: int = 0, costs: CostModel | None = None,
                latency: float = 0.00025, bandwidth: float = 125_000_000.0,
-               jitter: float = 0.2,
-               scheduler: str = "array") -> "NetworkContext":
-        """Build a fresh context with paper-default network parameters.
-
-        ``scheduler`` selects the kernel event scheduler (``"array"`` or
-        the legacy ``"heap"`` oracle — see :mod:`repro.sim.scheduler`).
-        """
+               jitter: float = 0.2) -> "NetworkContext":
+        """Build a fresh context with paper-default network parameters."""
         from repro.metrics.collector import MetricsCollector
 
-        sim = Simulation(scheduler=scheduler)
+        sim = Simulation()
         rng = RngRegistry(seed=seed)
         network = Network(sim, rng, default_latency=latency,
                           default_bandwidth=bandwidth, latency_jitter=jitter)

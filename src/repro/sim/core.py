@@ -5,17 +5,13 @@ popped in order; popping an event runs its callbacks, which resume waiting
 processes.  Processes are plain Python generators that yield
 :class:`~repro.sim.events.Event` objects.
 
-Two interchangeable schedulers back the loop (see
-:mod:`repro.sim.scheduler` for the design rationale):
-
-- ``scheduler="array"`` (the default): a comparison-free FIFO ring for
-  due-now events plus a calendar/sorted two-tier queue for timed events;
-- ``scheduler="heap"``: the original single binary heap, kept as the
-  differential-testing oracle.
-
-Both produce bit-identical pop order and sequence numbering — the golden
-trace digests and ``tests/sim/test_scheduler_differential.py`` hold them
-to it.
+The loop is backed by the array scheduler (see :mod:`repro.sim.scheduler`
+for the design rationale): a comparison-free FIFO ring for due-now events
+plus a calendar/sorted two-tier queue for timed events.  The original
+single binary heap survives only as a test-only differential oracle,
+``HeapSimulation`` in ``tests/sim/heap_oracle.py``; the golden trace
+digests and ``tests/sim/test_scheduler_differential.py`` hold the two to
+bit-identical pop order and sequence numbering.
 
 Determinism: ties on time are broken by a monotonically increasing sequence
 number, so two runs with the same seed produce identical schedules.
@@ -23,10 +19,10 @@ number, so two runs with the same seed produce identical schedules.
 
 from __future__ import annotations
 
-import heapq
 import typing
 from bisect import insort
 from collections import deque
+from heapq import heappush
 from math import inf
 
 from repro.sim.events import (
@@ -65,12 +61,11 @@ class Simulation:
         assert sim.now == 1.0
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_active_process", "_trace",
+    __slots__ = ("_now", "_seq", "_active_process", "_trace",
                  "events_processed", "_fifo", "_cal")
 
-    def __init__(self, scheduler: str = "array") -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
         self._seq: int = 0
         self._active_process: Process | None = None
         #: Total events popped over this simulation's lifetime (perf
@@ -80,37 +75,16 @@ class Simulation:
         #: into its running digest.  ``None`` (the default) costs one
         #: ``is`` test per step.
         self._trace: "TraceDigest | None" = None
-        # Scheduler selection.  ``_fifo is None`` is the mode discriminator
-        # checked inline at every push site (events.py, resources.py, and
-        # this module): a method call per push would eat the win.
-        if scheduler == "array":
-            self._fifo: "deque[tuple[float, int, Event]] | None" = deque()
-            self._cal: CalendarQueue | None = CalendarQueue()
-        elif scheduler == "heap":
-            self._fifo = None
-            self._cal = None
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected 'array' or 'heap'")
+        # The push sites (events.py, resources.py, and this module) append
+        # to _fifo and file into _cal inline: a method call per push would
+        # eat the scheduler's win.
+        self._fifo: "deque[tuple[float, int, Event]]" = deque()
+        self._cal: CalendarQueue = CalendarQueue()
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def scheduler_kind(self) -> str:
-        """Which scheduler backs this simulation: ``"array"`` or ``"heap"``."""
-        return "heap" if self._fifo is None else "array"
-
-    def scheduler_depths(self) -> dict[str, int]:
-        """Pending-entry counts per scheduler tier (test introspection)."""
-        if self._fifo is None:
-            return {"heap": len(self._heap)}
-        assert self._cal is not None
-        depths = self._cal.depths()
-        depths["fifo"] = len(self._fifo)
-        return depths
 
     @property
     def active_process(self) -> "Process | None":
@@ -176,37 +150,23 @@ class Simulation:
         if delay < 0:
             raise ValueError(
                 f"cannot schedule an event {-delay} seconds into the past")
-        fifo = self._fifo
-        if fifo is None:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        elif delay == 0.0:
-            fifo.append((self._now, self._seq, event))
+        if delay == 0.0:
+            self._fifo.append((self._now, self._seq, event))
         else:
             cal = self._cal
-            assert cal is not None
             entry = (self._now + delay, self._seq, event)
             if entry[0] < cal.bucket_end:
                 insort(cal.run, entry)
             else:
-                heapq.heappush(cal.far, entry)
+                heappush(cal.far, entry)
         self._seq += 1
-
-    def _next_entry(self) -> "tuple[float, int, Event] | None":
-        """The earliest pending array-scheduler entry, without removing it."""
-        assert self._fifo is not None and self._cal is not None
-        timed = self._cal.head()
-        if self._fifo:
-            first = self._fifo[0]
-            if timed is None or first < timed:
-                return first
-        return timed
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._fifo is None:
-            return self._heap[0][0] if self._heap else inf
-        entry = self._next_entry()
-        return entry[0] if entry is not None else inf
+        timed = self._cal.head()
+        if self._fifo and (timed is None or self._fifo[0] < timed):
+            return self._fifo[0][0]
+        return timed[0] if timed is not None else inf
 
     def set_trace(self, trace: "TraceDigest | None") -> None:
         """Install (or remove) the determinism-sanitizer trace hook."""
@@ -214,17 +174,13 @@ class Simulation:
 
     def step(self) -> None:
         """Pop and process a single event."""
-        if self._fifo is None:
-            when, _seq, event = heapq.heappop(self._heap)
+        timed = self._cal.head()
+        if self._fifo and (timed is None or self._fifo[0] < timed):
+            when, _seq, event = self._fifo.popleft()
+        elif timed is not None:
+            when, _seq, event = self._cal.pop()
         else:
-            assert self._cal is not None
-            timed = self._cal.head()
-            if self._fifo and (timed is None or self._fifo[0] < timed):
-                when, _seq, event = self._fifo.popleft()
-            elif timed is not None:
-                when, _seq, event = self._cal.pop()
-            else:
-                raise IndexError("step() on an empty schedule")
+            raise IndexError("step() on an empty schedule")
         self._now = when
         self.events_processed += 1
         if self._trace is not None:
@@ -247,20 +203,14 @@ class Simulation:
 
         The pop/dispatch loop is the simulator's hottest code: it is
         deliberately inlined (rather than calling :meth:`step`) with
-        hoisted locals.  One loop exists per scheduler; they are
-        behaviourally identical — same pops, same order — and the
-        golden-digest suite (``tests/fabric/test_golden_digests``) plus the
-        differential scheduler tests hold them to that contract.
+        hoisted locals.  Selection is a two-way head comparison (FIFO ring
+        vs current calendar bucket): the far tier holds only entries at or
+        beyond bucket_end, so it can never own the minimum, and FIFO
+        entries (time <= now < bucket_end) always precede it too.  The
+        golden-digest suite (``tests/fabric/test_golden_digests``) and the
+        differential tests against the binary-heap oracle
+        (``tests/sim/heap_oracle.py``) pin its pop order.
         """
-        if self._fifo is None:
-            return self._run_heap(until)
-        return self._run_array(until)
-
-    def _run_array(self, until: float | Event | None) -> typing.Any:
-        # The array-scheduler loop.  Selection is a two-way head comparison
-        # (FIFO ring vs current calendar bucket): the far tier holds only
-        # entries at or beyond bucket_end, so it can never own the minimum,
-        # and FIFO entries (time <= now < bucket_end) always precede it too.
         stop_event: Event | None = None
         # inf instead of None: one float compare per pop, no None test.
         horizon = inf
@@ -279,7 +229,6 @@ class Simulation:
                     f"until={horizon} is in the past (now={self._now})")
         fifo = self._fifo
         cal = self._cal
-        assert fifo is not None and cal is not None
         fifo_popleft = fifo.popleft
         # run/run_idx are hoisted loop-locals, synced back in the finally
         # block.  Callbacks may insort new entries into cal.run (growing it
@@ -343,58 +292,6 @@ class Simulation:
         if explicit_horizon:
             # The schedule drained before the horizon; advance the clock so
             # repeated bounded runs observe monotonic time.
-            self._now = max(self._now, horizon)
-        return None
-
-    def _run_heap(self, until: float | Event | None) -> typing.Any:
-        # The legacy binary-heap loop, preserved verbatim as the
-        # differential-testing oracle for the array scheduler.
-        stop_event: Event | None = None
-        horizon: float | None = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-            assert stop_event.callbacks is not None
-            stop_event.callbacks.append(self._stop_callback)
-        elif until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} is in the past (now={self._now})")
-        heap = self._heap
-        pop = heapq.heappop
-        steps = 0
-        try:
-            while heap:
-                if horizon is not None and heap[0][0] > horizon:
-                    self._now = horizon
-                    return None
-                when, _seq, event = pop(heap)
-                self._now = when
-                steps += 1
-                trace = self._trace
-                if trace is not None:
-                    trace.record(when, _seq, event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                assert callbacks is not None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    # Nobody waited on this failed event: surface the error
-                    # rather than letting it pass silently.
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.args[0]
-        finally:
-            self.events_processed += steps
-        if stop_event is not None and not stop_event.triggered:
-            raise RuntimeError(
-                "simulation ran out of events before `until` event fired")
-        if horizon is not None:
-            # The heap drained before reaching the horizon; advance the clock
-            # so repeated bounded runs observe monotonic time.
             self._now = max(self._now, horizon)
         return None
 
@@ -468,11 +365,7 @@ class Process(Event):
         init._value = None
         assert init.callbacks is not None
         init.callbacks.append(self._resume)
-        fifo = sim._fifo
-        if fifo is None:
-            heapq.heappush(sim._heap, (sim._now, sim._seq, init))
-        else:
-            fifo.append((sim._now, sim._seq, init))
+        sim._fifo.append((sim._now, sim._seq, init))
         sim._seq += 1
         self._target = init
 
@@ -563,11 +456,7 @@ class Process(Event):
                 next_target.defused = True
                 resume.defused = True
             resume.callbacks = [self._resume]
-            fifo = sim._fifo
-            if fifo is None:
-                heapq.heappush(sim._heap, (sim._now, sim._seq, resume))
-            else:
-                fifo.append((sim._now, sim._seq, resume))
+            sim._fifo.append((sim._now, sim._seq, resume))
             sim._seq += 1
             self._target = resume
         else:

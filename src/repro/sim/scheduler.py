@@ -42,16 +42,15 @@ Design notes (measured on CPython 3.11, reference perfbench scenarios):
 Pop order is bit-identical to the binary heap — same ``(time, seq)``
 total order, same sequence-number assignment — which
 ``tests/sim/test_scheduler_differential.py`` and the golden digests
-enforce; the legacy heap remains available as
-``Simulation(scheduler="heap")`` precisely so the two implementations can
-be diffed forever.
+enforce; the legacy heap lives on as the test-only oracle
+``HeapSimulation`` (``tests/sim/heap_oracle.py``) precisely so the two
+implementations can be diffed forever.
 """
 
 from __future__ import annotations
 
 import typing
-from bisect import insort
-from heapq import heappop, heappush
+from heapq import heappop
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.events import Event
@@ -77,8 +76,9 @@ class CalendarQueue:
       inside it — ``insort`` over the whole list is therefore safe.
 
     The hot simulation loop manipulates ``run``/``run_idx`` directly (as
-    hoisted locals, synced back on exit); everything else goes through
-    the methods.
+    hoisted locals, synced back on exit), and every push site files
+    entries into ``run``/``far`` inline; everything else goes through the
+    methods.
     """
 
     __slots__ = ("width", "run", "run_idx", "bucket_end", "far")
@@ -96,16 +96,6 @@ class CalendarQueue:
         self.bucket_end = start + width
         #: Min-heap of entries at or beyond :attr:`bucket_end`.
         self.far: list[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self.run) - self.run_idx + len(self.far)
-
-    def push(self, entry: Entry) -> None:
-        """File ``entry`` into the bucket or the far tier by its time."""
-        if entry[0] < self.bucket_end:
-            insort(self.run, entry)
-        else:
-            heappush(self.far, entry)
 
     def head(self) -> Entry | None:
         """The earliest timed entry, or ``None``; advances buckets lazily."""
@@ -142,6 +132,3 @@ class CalendarQueue:
         self.run_idx = 0
         self.bucket_end = bucket_end
 
-    def depths(self) -> dict[str, int]:
-        """Tier populations, for tests and scheduler introspection."""
-        return {"run": len(self.run) - self.run_idx, "far": len(self.far)}

@@ -68,11 +68,13 @@ def test_lint_subcommand_flags_bad_path(tmp_path, capsys):
 
 def test_check_determinism_subcommand_single_orderer(capsys):
     assert main(["check-determinism", "--orderer", "solo",
-                 "--check-duration", "1.5", "--check-rate", "30",
+                 "--rate", "30", "--duration", "1.5",
                  "--digest-only"]) == 0
     output = capsys.readouterr().out
     assert "DETERMINISTIC" in output
     assert "reproducible" in output
+    # The double runs use the offered load given on the command line.
+    assert "solo / AND2 / leveldb @ 30 tx/s" in output
 
 
 def test_trace_summary_out_writes_obs_diff_comparable_json(tmp_path, capsys):
@@ -125,7 +127,7 @@ def test_obs_diff_json_output(tmp_path, capsys):
     base.write_text(json.dumps(
         {"solo": {"sim_tps": 100.0}}), encoding="utf-8")
     assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(base), "--diff-json"]) == 0
+                 "--candidate", str(base), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
 
@@ -133,8 +135,10 @@ def test_obs_diff_json_output(tmp_path, capsys):
 def test_obs_diff_requires_both_paths(tmp_path, capsys):
     base = tmp_path / "base.json"
     base.write_text("{}", encoding="utf-8")
-    assert main(["obs-diff"]) == 2
-    assert main(["obs-diff", "--baseline", str(base)]) == 2
+    for argv in (["obs-diff"], ["obs-diff", "--baseline", str(base)]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
@@ -159,3 +163,63 @@ def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "obs-diff: FAILED" in out
     assert "events_per_s" in out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["tab1", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["tab1", "--jobs", "4", "--smoke", "--digest-only"],
+     "unrecognized arguments"),
+    (["fig2", "--rate", "5"], "unrecognized arguments"),
+    (["all", "--scenario", "solo-and-leveldb"], "unrecognized arguments"),
+    (["capacity", "--target-tps", "200", "--repeats", "3"],
+     "unrecognized arguments: --repeats 3"),
+    (["capacity", "--target-tps", "200", "--seed", "3"],
+     "unrecognized arguments"),
+    (["capacity", "--max-p95", "2.0"], "required: --target-tps"),
+    (["trace", "--digest-only"], "unrecognized arguments"),
+    (["lint", "--seed", "2"], "unrecognized arguments"),
+    (["statedb", "--plot"], "unrecognized arguments"),
+    (["faults", "--jobs", "2"], "unrecognized arguments"),
+    (["check-determinism", "--smoke"], "unrecognized arguments"),
+    (["perfbench", "--peers", "8"], "unrecognized arguments"),
+    (["crossval", "--repeats", "2"], "unrecognized arguments"),
+    (["scale", "--scenario", "solo-and-leveldb"], "unrecognized arguments"),
+    (["obs-diff", "--baseline", "a.json", "--candidate", "b.json",
+      "--seed", "1"], "unrecognized arguments"),
+])
+def test_usage_errors_exit_with_code_2(argv, error, capsys):
+    # Each command declares only its own flags: a flag that belongs to
+    # another command is a usage error, not silently ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["perfbench", "crossval"])
+def test_unknown_perfbench_scenario_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--scenario", "nope"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert "solo-and-leveldb" in err
+
+
+@pytest.mark.parametrize("command", ["perfbench", "crossval"])
+def test_scenario_flag_names_perfbench_scenarios(command):
+    from repro.experiments.cli import _parser
+
+    args = _parser().parse_args([command, "--scenario", "solo-and-leveldb",
+                                 "--scenario", "raft-and-leveldb", "--smoke"])
+    assert args.scenarios == ["solo-and-leveldb", "raft-and-leveldb"]
+    assert args.smoke
+
+
+def test_capacity_json_plan(capsys):
+    import json
+
+    assert main(["capacity", "--target-tps", "200", "--orderer", "raft",
+                 "--workload", "conflict", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasible"] is True

@@ -165,8 +165,8 @@ def test_cli_perfbench_exits_nonzero_and_names_crashed_scenario(
 
     monkeypatch.setattr(perfbench, "run_scenario", bomb)
     code = main(["perfbench", "--smoke", "--jobs", "2",
-                 "--perf-scenario", "solo-and-leveldb",
-                 "--perf-scenario", "raft-and-leveldb"])
+                 "--scenario", "solo-and-leveldb",
+                 "--scenario", "raft-and-leveldb"])
     captured = capsys.readouterr()
     assert code == 1
     assert "raft-and-leveldb" in captured.err

@@ -35,7 +35,7 @@ def test_scale_topology_rejects_fewer_than_one_channel(channels):
 def test_scale_cli_rejects_zero_channels():
     with pytest.raises(ConfigurationError):
         main(["scale", "--peers", "8", "--channels", "0", "--users", "1000",
-              "--scale-duration", "2"])
+              "--duration", "2"])
 
 
 def test_scale_topology_small_network_all_endorsing():
@@ -92,13 +92,15 @@ def test_sweep_gate_fails_on_lost_cohort_metrics():
 def test_scale_cli_single_point_writes_json(tmp_path, capsys):
     out = tmp_path / "scale.json"
     assert main(["scale", "--peers", "8", "--channels", "2",
-                 "--users", "50000", "--scale-rate", "40",
-                 "--scale-duration", "4", "--out", str(out)]) == 0
+                 "--users", "50000", "--rate", "40",
+                 "--duration", "4", "--out", str(out)]) == 0
     output = capsys.readouterr().out
     assert "cohort0" in output
     assert "ch1" in output
     payload = json.loads(out.read_text())
     assert payload["points"][0]["users"] == 50_000
+    assert payload["points"][0]["rate"] == 40.0
+    assert payload["points"][0]["duration"] == 4.0
     assert payload["points"][0]["clients"] == payload["points"][0][
         "cohorts"]
 

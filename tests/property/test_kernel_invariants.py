@@ -19,7 +19,8 @@ The PR-10 array scheduler (FIFO ring + calendar bucket + far heap,
 :mod:`repro.sim.scheduler`) re-pins the same invariants differentially:
 over hypothesis-generated schedules — including adversarial horizons
 straddling bucket boundaries, cancel/re-arm interleavings, and due-now
-tie storms — the array scheduler and the legacy binary heap must produce
+tie storms — the array scheduler and the legacy binary heap (the
+test-only :class:`~tests.sim.heap_oracle.HeapSimulation`) must produce
 bit-identical trace digests, and the calendar tiers must hold their
 routing invariant (every far entry at or beyond ``bucket_end``).
 """
@@ -32,6 +33,7 @@ from hypothesis import given, settings
 from repro.sim.core import Simulation
 from repro.sim.sanitizer import TraceDigest
 from repro.sim.scheduler import DEFAULT_BUCKET_WIDTH
+from tests.sim.heap_oracle import HeapSimulation
 
 # Delays as integer tenths keep arithmetic exact: equal draws mean exactly
 # equal simulated times, so tie-breaking is genuinely exercised.
@@ -257,9 +259,9 @@ adversarial_delays = st.lists(
         lambda ks: [k * _QUANTUM for k in ks])
 
 
-def _digest_chains(scheduler: str, schedules,
+def _digest_chains(sim_class: type[Simulation], schedules,
                    keep_records: bool = False) -> TraceDigest:
-    sim = Simulation(scheduler=scheduler)
+    sim = sim_class()
     trace = TraceDigest(sim, keep_records=keep_records).attach()
 
     def chain(delays):
@@ -277,8 +279,8 @@ def _digest_chains(scheduler: str, schedules,
 @settings(max_examples=150, deadline=None)
 def test_array_scheduler_matches_heap_under_adversarial_horizons(schedules):
     """Tier migration never reorders: array digest == heap digest."""
-    array_trace = _digest_chains("array", schedules, keep_records=True)
-    heap_trace = _digest_chains("heap", schedules)
+    array_trace = _digest_chains(Simulation, schedules, keep_records=True)
+    heap_trace = _digest_chains(HeapSimulation, schedules)
     assert array_trace.hexdigest == heap_trace.hexdigest
     # The pop stream must also be monotone in (time, seq) on its own.
     for earlier, later in zip(array_trace.records, array_trace.records[1:]):
@@ -296,8 +298,8 @@ def test_bounded_runs_resume_identically_across_schedulers(schedules,
     lookahead entry exactly); resuming must replay the remainder in the
     same order the heap would.
     """
-    def run_split(scheduler: str) -> str:
-        sim = Simulation(scheduler=scheduler)
+    def run_split(sim_class: type[Simulation]) -> str:
+        sim = sim_class()
         trace = TraceDigest(sim, keep_records=False).attach()
 
         def chain(delays):
@@ -311,7 +313,7 @@ def test_bounded_runs_resume_identically_across_schedulers(schedules,
         trace.detach()
         return trace.hexdigest
 
-    assert run_split("array") == run_split("heap")
+    assert run_split(Simulation) == run_split(HeapSimulation)
 
 
 @given(st.lists(adversarial_delays, min_size=1, max_size=6))
@@ -322,7 +324,7 @@ def test_calendar_far_tier_never_undercuts_bucket_end(schedules):
     Checked after every pop via a step-driven run, so the invariant holds
     across bucket rotations, not just at the end.
     """
-    sim = Simulation(scheduler="array")
+    sim = Simulation()
 
     def chain(delays):
         for delay in delays:
@@ -367,8 +369,8 @@ def test_cancel_and_rearm_identical_across_schedulers(plan):
 
     sleepers, interrupts = plan
 
-    def run_once(scheduler: str) -> tuple[str, list]:
-        sim = Simulation(scheduler=scheduler)
+    def run_once(sim_class: type[Simulation]) -> tuple[str, list]:
+        sim = sim_class()
         trace = TraceDigest(sim, keep_records=False).attach()
         outcomes = []
 
@@ -402,8 +404,8 @@ def test_cancel_and_rearm_identical_across_schedulers(plan):
         trace.detach()
         return trace.hexdigest, outcomes
 
-    array_digest, array_outcomes = run_once("array")
-    heap_digest, heap_outcomes = run_once("heap")
+    array_digest, array_outcomes = run_once(Simulation)
+    heap_digest, heap_outcomes = run_once(HeapSimulation)
     assert array_digest == heap_digest
     assert array_outcomes == heap_outcomes
     assert len(array_outcomes) == len(sleepers), "every sleeper finishes"
@@ -413,10 +415,10 @@ def test_cancel_and_rearm_identical_across_schedulers(plan):
 @settings(max_examples=60, deadline=None)
 def test_due_now_events_fire_in_fifo_order(count):
     """Due-now triggers (the FIFO ring tier) keep strict arrival order."""
-    def run_once(scheduler: str) -> list[int]:
+    def run_once(sim_class: type[Simulation]) -> list[int]:
         from repro.sim.events import Event
 
-        sim = Simulation(scheduler=scheduler)
+        sim = sim_class()
         fired = []
 
         def firer(events):
@@ -438,9 +440,9 @@ def test_due_now_events_fire_in_fifo_order(count):
         sim.run()
         return fired
 
-    array_order = run_once("array")
+    array_order = run_once(Simulation)
     assert array_order == list(reversed(range(count)))
-    assert array_order == run_once("heap")
+    assert array_order == run_once(HeapSimulation)
 
 
 @given(delay_lists)

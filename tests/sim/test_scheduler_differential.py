@@ -9,19 +9,22 @@ enforces the strongest way available, by running the full golden
 scenario matrix under BOTH schedulers and demanding bit-identical trace
 digests, pairwise and against the committed goldens.
 
-The legacy heap loop (``Simulation(scheduler="heap")``) is kept verbatim
-in the kernel precisely to serve as this oracle: if the array scheduler
-ever drifts, these tests name the exact scenario whose schedule moved.
+The legacy heap loop is kept verbatim, test-only, as
+:class:`~tests.sim.heap_oracle.HeapSimulation` precisely to serve as this
+oracle: if the array scheduler ever drifts, these tests name the exact
+scenario whose schedule moved.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.runtime.context
 from repro.experiments import perfbench
 from repro.fabric.network import FabricNetwork
 from repro.sim.core import Simulation
 from repro.sim.sanitizer import TraceDigest
+from tests.sim.heap_oracle import HeapSimulation
 
 #: The differential golden matrix: every perfbench scenario (8 at the
 #: time of writing; the parametrisation tracks the registry).
@@ -33,12 +36,14 @@ def test_matrix_covers_at_least_eight_scenarios() -> None:
     assert len(MATRIX) >= 8, MATRIX
 
 
-def _heap_digest(name: str) -> str:
+def _heap_digest(name: str, monkeypatch: pytest.MonkeyPatch) -> str:
     """The smoke-scale digest of ``name`` replayed on the heap oracle."""
     scenario = perfbench.SCENARIOS[name].at_scale("smoke").scenario(
         perfbench.GOLDEN_SEED)
+    monkeypatch.setattr(repro.runtime.context, "Simulation", HeapSimulation)
     network = FabricNetwork(scenario.topology, scenario.workload,
-                            seed=scenario.seed, scheduler="heap")
+                            seed=scenario.seed)
+    assert type(network.sim) is HeapSimulation
     trace = TraceDigest(network.sim, keep_records=False).attach()
     network.run_workload()
     trace.detach()
@@ -46,10 +51,11 @@ def _heap_digest(name: str) -> str:
 
 
 @pytest.mark.parametrize("name", MATRIX)
-def test_heap_and_array_digests_identical_and_golden(name: str) -> None:
+def test_heap_and_array_digests_identical_and_golden(
+        name: str, monkeypatch: pytest.MonkeyPatch) -> None:
     """Both schedulers replay the committed schedule, bit for bit."""
     array_digest = perfbench.digest_scenario(name, scale="smoke")
-    heap_digest = _heap_digest(name)
+    heap_digest = _heap_digest(name, monkeypatch)
     assert array_digest == heap_digest, (
         f"scheduler divergence in {name}: the array scheduler popped a "
         f"different schedule than the binary-heap oracle")
@@ -61,14 +67,6 @@ def test_heap_and_array_digests_identical_and_golden(name: str) -> None:
         f"for {key}: the schedule itself changed")
 
 
-def test_scheduler_kind_is_reported() -> None:
-    assert Simulation().scheduler_kind == "array"
-    assert Simulation(scheduler="array").scheduler_kind == "array"
-    assert Simulation(scheduler="heap").scheduler_kind == "heap"
-    with pytest.raises(ValueError):
-        Simulation(scheduler="splay")
-
-
 def _digest_of(sim: Simulation, build) -> str:
     trace = TraceDigest(sim, keep_records=False).attach()
     build(sim)
@@ -78,8 +76,8 @@ def _digest_of(sim: Simulation, build) -> str:
 
 
 def _both_schedulers(build) -> tuple[str, str]:
-    return (_digest_of(Simulation(scheduler="array"), build),
-            _digest_of(Simulation(scheduler="heap"), build))
+    return (_digest_of(Simulation(), build),
+            _digest_of(HeapSimulation(), build))
 
 
 def test_tie_break_order_identical_across_schedulers() -> None:
@@ -137,5 +135,5 @@ def test_horizon_limited_run_identical_across_schedulers() -> None:
         assert sim.now == 10.0
         return trace.hexdigest
 
-    assert (build_and_run(Simulation(scheduler="array"))
-            == build_and_run(Simulation(scheduler="heap")))
+    assert (build_and_run(Simulation())
+            == build_and_run(HeapSimulation()))
