@@ -65,7 +65,7 @@ def _run_trace(args) -> int:
     point = run(Scenario(
         make_topology(args.orderer, args.policy, DEFAULT_PEERS),
         make_workload(args.rate, args.duration), seed=args.seed,
-        observe=True, sample_interval=args.sample_interval))
+        observe=True))
     network = point.network
     title = (f"Bottleneck attribution ({args.orderer}, {args.policy}, "
              f"{args.rate:g} tx/s)")
@@ -467,6 +467,16 @@ def _run_artifacts(args) -> int:
     return 0
 
 
+def _output_path(value: str) -> str:
+    """argparse ``type`` of a file a command writes: fail before running
+    when its directory does not exist."""
+    directory = pathlib.Path(value).parent
+    if not directory.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory {str(directory)!r} does not exist")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fabric-repro",
@@ -481,8 +491,8 @@ def _parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=1,
                       help="simulation seed (default 1)")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, metavar="PATH",
-                     help="write the command's report to PATH")
+    out.add_argument("--out", type=_output_path, default=None,
+                     metavar="PATH", help="write the command's report to PATH")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the matrix (default 1: run "
@@ -517,14 +527,14 @@ def _parser() -> argparse.ArgumentParser:
                             "AND5 validate capacity)")
     trace.add_argument("--duration", type=float, default=15.0,
                        help="workload duration in simulated seconds")
-    trace.add_argument("--sample-interval", type=float, default=0.05,
-                       help="utilization sampling period (seconds)")
     trace.add_argument("--top", type=int, default=12,
                        help="resources to list in the report")
-    trace.add_argument("--trace-out", default=None, metavar="PATH",
+    trace.add_argument("--trace-out", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write a Chrome trace_event JSON file (view in "
                             "Perfetto / chrome://tracing)")
-    trace.add_argument("--summary-out", default=None, metavar="PATH",
+    trace.add_argument("--summary-out", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write the critical-path + queueing summary "
                             "JSON (obs-diff comparable)")
 
@@ -551,7 +561,8 @@ def _parser() -> argparse.ArgumentParser:
     lint.add_argument("--baseline", default=None, metavar="PATH",
                       help="accepted-findings file: fail only on new "
                            "error-severity findings")
-    lint.add_argument("--write-baseline", default=None, metavar="PATH",
+    lint.add_argument("--write-baseline", type=_output_path, default=None,
+                      metavar="PATH",
                       help="accept the current findings: write their "
                            "fingerprints to PATH and exit 0")
 

@@ -90,12 +90,11 @@ def check_point_determinism(orderer_kind: str, policy: str = "AND2",
                             workload_kind: str = "unique") -> PointCheck:
     """Same-seed double run of one configuration, diffed.
 
-    Each run executes with tracing enabled (but without the sampler, which
-    would add its own timeout events), so the schedule digest doubles as
-    proof that the telemetry layer is schedule-neutral — it must match
-    the digests of untraced runs.  Metrics and critical-path summary
-    hashes are compared too, so the check covers telemetry as well as
-    schedules.
+    Each run executes with tracing and resource monitors enabled, so the
+    schedule digest doubles as proof that the telemetry layer is
+    schedule-neutral — it must match the digests of untraced runs.
+    Metrics and critical-path summary hashes are compared too, so the
+    check covers telemetry as well as schedules.
     """
     scenario = Scenario(make_topology(orderer_kind, policy, peers,
                                       statedb=statedb),

@@ -94,11 +94,7 @@ class PerfScenario:
                                    peers=peers)
 
     def scenario(self, seed: int, observe: bool = False) -> Scenario:
-        """The run this benchmark scenario describes.
-
-        Observed runs have no sampler: the tracer and monitors are
-        schedule-neutral, the sampler's periodic timeouts are not.
-        """
+        """The run this benchmark scenario describes."""
         if self.population_users > 0:
             from repro.experiments.scale import (
                 make_scale_topology,
@@ -239,7 +235,7 @@ def digest_scenario(name: str, seed: int = GOLDEN_SEED,
     This is the digest-only half of :func:`run_scenario`, exposed so the
     golden-digest tests can check schedules without paying for a second,
     timed run.  ``observe=True`` runs with span tracing and resource
-    monitors attached (sampler off): the digest must not change, which is
+    monitors attached: the digest must not change, which is
     the standing proof that observability is schedule-neutral.
     """
     scenario = SCENARIOS[name].at_scale(scale).scenario(seed, observe)

@@ -144,8 +144,8 @@ def run_scale_point(peers: int = 100, channels: int = 4,
                     observe: bool = True) -> ScalePoint:
     """Run one scale point and collect its per-cohort accounting.
 
-    Observability runs tracer + monitors without the sampler, so the
-    bottleneck attribution comes from exact lifetime integrals and the
+    Observability attaches the tracer and monitors, which schedule no
+    events: the bottleneck attribution comes from exact integrals and the
     event schedule stays identical to an unobserved run.
     """
     topology = make_scale_topology(peers, channels,

@@ -110,7 +110,7 @@ def run_statedb_ablation(mode: str = "quick",
         make_topology("solo", POLICY, PEERS,
                       statedb=StateDBConfig(kind="couchdb")),
         make_workload(max(couch_rates), duration), seed=seed,
-        workload_kind=WORKLOAD_KIND, observe=True, sample_interval=0.05))
+        workload_kind=WORKLOAD_KIND, observe=True))
     bottleneck = traced.network.bottleneck_report().bottleneck
     name = bottleneck.name if bottleneck is not None else ""
     phase = bottleneck.phase if bottleneck is not None else ""

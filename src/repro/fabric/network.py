@@ -48,7 +48,6 @@ class FabricNetwork:
                  seed: int = 0, costs: CostModel | None = None,
                  workload_kind: str = "unique",
                  observe: bool = False,
-                 sample_interval: float | None = 0.05,
                  faults: FaultSchedule | None = None) -> None:
         self.topology = topology
         self.workload_config = workload or WorkloadConfig()
@@ -65,15 +64,11 @@ class FabricNetwork:
             self.context.costs.tls_per_message_cpu = 0.0
         #: Observability layer (tracer + monitors); opt-in and off by
         #: default so unobserved runs carry zero instrumentation cost.
-        #: The tracer and monitors are pure observers (zero schedule
-        #: impact), but the periodic sampler is a process whose timeouts
-        #: ARE kernel events — schedule-neutral runs (determinism checks,
-        #: golden digests) pass ``sample_interval=None`` and still get
-        #: tracing + exact lifetime integrals.
+        #: Both are pure observers: an observed run schedules exactly the
+        #: events of the unobserved one.
         self.obs: Observability | None = None
         if observe:
-            self.obs = Observability(self.context.sim,
-                                     sample_interval=sample_interval)
+            self.obs = Observability(self.context.sim)
             self.context.tracer = self.obs.tracer
 
         self.ca = CertificateAuthority("Org1")
@@ -308,13 +303,7 @@ class FabricNetwork:
         window_start = start_at + self.workload_config.warmup
         window_end = (start_at + self.workload_config.duration
                       - self.workload_config.cooldown)
-        if self.obs is not None:
-            # Exact windowed bottleneck reports, with or without sampler.
-            self.obs.mark(window_start, window_end)
-            self.obs.start_sampler(until=horizon)
         self.context.sim.run(until=horizon)
-        if self.obs is not None:
-            self.obs.finish()
         self.last_window = (window_start, window_end)
         self._export_statedb_counters()
         return self.context.metrics.aggregate(window_start, window_end)

@@ -35,9 +35,6 @@ class Scenario:
     faults: FaultSchedule | None = None
     #: Attach the tracer and resource monitors.
     observe: bool = False
-    #: Period of the utilisation sampler in observed runs.  ``None`` runs
-    #: no sampler, whose timeouts would otherwise join the event schedule.
-    sample_interval: float | None = None
 
 
 @dataclasses.dataclass
@@ -68,8 +65,7 @@ def run(scenario: Scenario, digest: str | None = None) -> RunResult:
     network = FabricNetwork(
         scenario.topology, scenario.workload, seed=scenario.seed,
         costs=scenario.costs, workload_kind=scenario.workload_kind,
-        observe=scenario.observe, sample_interval=scenario.sample_interval,
-        faults=scenario.faults)
+        observe=scenario.observe, faults=scenario.faults)
     trace = None
     if digest is not None:
         trace = TraceDigest(network.sim,

@@ -1,13 +1,13 @@
-"""Simulation-wide observability: span tracing, resource sampling,
+"""Simulation-wide observability: span tracing, resource monitors,
 and automated bottleneck attribution.
 
 The subsystem has six cooperating parts:
 
 - :mod:`repro.obs.tracer` — hierarchical span tracing on the simulated
   clock, exportable as Chrome/Perfetto ``trace_event`` JSON;
-- :mod:`repro.obs.sampler` — named resource monitors recording
-  time-weighted utilization, queue depth, and wait-time distributions,
-  checkpointed by a sampler process;
+- :mod:`repro.obs.monitor` — named resource monitors whose breakpoint
+  logs give exact time-weighted utilization and queue depth over any
+  window, plus wait- and service-time distributions;
 - :mod:`repro.obs.queueing` — the queueing observatory: one
   per-resource statistic (:class:`ResourceQueueStats`) with
   wait/service distributions and a Little's-law consistency check;
@@ -32,6 +32,7 @@ from repro.obs.critical_path import (
     summarize_critical_paths,
     tx_timeline,
 )
+from repro.obs.monitor import ResourceMonitor, watch_resource, watch_store
 from repro.obs.observe import Observability
 from repro.obs.queueing import (
     SATURATION_THRESHOLD,
@@ -52,20 +53,12 @@ from repro.obs.report import (
     bottleneck_report,
     span_statistics,
 )
-from repro.obs.sampler import (
-    Checkpoint,
-    ResourceMonitor,
-    UtilizationSampler,
-    watch_resource,
-    watch_store,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "NULL_TRACER",
     "SATURATION_THRESHOLD",
     "BottleneckReport",
-    "Checkpoint",
     "CriticalPathSummary",
     "DiffResult",
     "MetricDelta",
@@ -79,7 +72,6 @@ __all__ = [
     "SpanStats",
     "Tracer",
     "TxCriticalPath",
-    "UtilizationSampler",
     "bottleneck_report",
     "compare_measurements",
     "diff_files",

@@ -1,16 +1,11 @@
-"""The observability bundle: one tracer + monitors + sampler per run."""
+"""The observability bundle: one tracer and its monitors per run."""
 
 from __future__ import annotations
 
 import typing
 
+from repro.obs.monitor import ResourceMonitor, watch_resource, watch_store
 from repro.obs.report import BottleneckReport, bottleneck_report
-from repro.obs.sampler import (
-    ResourceMonitor,
-    UtilizationSampler,
-    watch_resource,
-    watch_store,
-)
 from repro.obs.tracer import Tracer
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,19 +22,16 @@ class Observability:
     Create one, install ``obs.tracer`` as the context's tracer *before*
     driving load, register the resources to watch, then::
 
-        obs.start_sampler(until=horizon)
         sim.run(until=horizon)
         report = obs.report(window_start, window_end)
         obs.write_chrome_trace("trace.json")
+
+    Observing schedules no events, so the run itself is unchanged.
     """
 
-    def __init__(self, sim: "Simulation",
-                 sample_interval: float | None = 0.05) -> None:
-        self.sim = sim
+    def __init__(self, sim: "Simulation") -> None:
         self.tracer = Tracer(sim)
         self.monitors: dict[str, ResourceMonitor] = {}
-        self.sampler = UtilizationSampler(sim, self.monitors,
-                                          interval=sample_interval)
 
     # ------------------------------------------------------------------
     # Registration
@@ -64,24 +56,6 @@ class Observability:
 
     def monitor(self, name: str) -> ResourceMonitor:
         return self.monitors[name]
-
-    # ------------------------------------------------------------------
-    # Sampling lifecycle
-    # ------------------------------------------------------------------
-
-    def mark(self, *times: float) -> None:
-        """Make windowed statistics exact at ``times`` on every monitor."""
-        for monitor in self.monitors.values():
-            for when in times:
-                monitor.mark(when)
-
-    def start_sampler(self, until: float | None = None) -> None:
-        """Start periodic checkpointing (bounded by ``until`` if given)."""
-        self.sampler.start(until)
-
-    def finish(self) -> None:
-        """Take one final checkpoint so integrals cover the full run."""
-        self.sampler.sample()
 
     # ------------------------------------------------------------------
     # Outputs

@@ -1,6 +1,6 @@
 """The queueing observatory: per-resource wait/service telemetry.
 
-Turns the :class:`~repro.obs.sampler.ResourceMonitor`s attached to a run
+Turns the :class:`~repro.obs.monitor.ResourceMonitor`s attached to a run
 into first-class queueing statistics: utilization, time-weighted mean
 queue depth, arrival/completion throughput, wait-time and service-time
 distributions, and a **Little's-law consistency check** per resource.
@@ -32,7 +32,7 @@ import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.sampler import ResourceMonitor
+    from repro.obs.monitor import ResourceMonitor
 
 #: Default relative tolerance for the Little's-law check.
 LITTLE_TOLERANCE = 0.05
@@ -125,9 +125,10 @@ def resource_stats(monitor: "ResourceMonitor",
     occupancy but skip the check.  Store monitors (kind ``queue``) have
     no grant/release telemetry and skip it too.
     """
-    elapsed, busy, queue, _t0 = monitor._window(start, end)
+    elapsed, busy, queue = monitor._window(start, end)
     full_window = start is None and end is None
-    utilization = monitor.utilization(start, end)
+    utilization = (busy / (monitor.capacity * elapsed)
+                   if elapsed > 0 and monitor.capacity > 0 else 0.0)
     mean_queue = queue / elapsed if elapsed > 0 else 0.0
 
     occupancy = ((busy + queue) / elapsed) if elapsed > 0 else 0.0

@@ -17,7 +17,7 @@ import typing
 
 from repro.metrics.stats import StreamingHistogram
 from repro.obs.queueing import ResourceQueueStats, resource_stats
-from repro.obs.sampler import ResourceMonitor
+from repro.obs.monitor import ResourceMonitor
 from repro.obs.tracer import Tracer
 
 
@@ -160,13 +160,10 @@ def bottleneck_report(tracer: Tracer,
     ``start``/``end`` bound the analysis to a measurement window (defaults
     to each monitor's lifetime); when either is given, the report records
     the effective window, filling a missing bound from the monitors.
-    Utilization and queue depth are exact at bounds marked before the run
-    (:meth:`~repro.obs.sampler.ResourceMonitor.mark`; ``run_workload``
-    marks its measurement window); any other window is interpolated from
-    the sampler's checkpoints, so without a sampler it reads close to the
-    whole-run average.  The
-    bottleneck is the highest-utilization server pool; the saturated phase
-    is that resource's phase when its utilization passes
+    Utilization and queue depth are exact over any window (each monitor
+    keeps a breakpoint log of its integrals).  The bottleneck is the
+    highest-utilization server pool; the saturated phase is that
+    resource's phase when its utilization passes
     :data:`~repro.obs.queueing.SATURATION_THRESHOLD`.
     """
     usages = [resource_stats(monitor, start, end)

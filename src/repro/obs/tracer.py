@@ -206,7 +206,7 @@ class Tracer:
     def attach_wait(self, seconds: float) -> None:
         """Add queue-wait seconds to the active process's innermost span.
 
-        Called by :meth:`~repro.obs.sampler.ResourceMonitor.note_wait` when
+        Called by :meth:`~repro.obs.monitor.ResourceMonitor.note_wait` when
         a monitored resource grants a contended slot: the waiter resumes,
         and whatever span it has open absorbs the measured wait.  Waits
         accumulate, so a span covering several acquisitions reports their

@@ -63,7 +63,7 @@ class Resource:
         self.capacity = capacity
         #: Identity for observability; also used in monitor reports.
         self.name = name
-        #: Attached :class:`~repro.obs.sampler.ResourceMonitor`, if any.
+        #: Attached :class:`~repro.obs.monitor.ResourceMonitor`, if any.
         #: When ``None`` (the default) instrumentation costs one ``is``
         #: test per state change and records nothing.
         self.monitor: typing.Any = None
@@ -217,7 +217,7 @@ class Store:
         self.sim = sim
         #: Identity for observability; also used in monitor reports.
         self.name = name
-        #: Attached :class:`~repro.obs.sampler.ResourceMonitor`, if any.
+        #: Attached :class:`~repro.obs.monitor.ResourceMonitor`, if any.
         self.monitor: typing.Any = None
         self._items: collections.deque[typing.Any] = collections.deque()
         self._getters: collections.deque[Event] = collections.deque()

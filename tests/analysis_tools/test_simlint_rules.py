@@ -89,7 +89,7 @@ def test_sl002_allows_timezone_aware_now_and_obs_tree():
     """
     assert rules_fired(source) == []
     assert rules_fired("import time\nt = time.time()\n",
-                       relpath="obs/sampler.py") == []
+                       relpath="obs/monitor.py") == []
 
 
 def test_sl002_allows_time_sleep():

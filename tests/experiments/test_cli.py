@@ -186,6 +186,22 @@ def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
     (["scale", "--scenario", "solo-and-leveldb"], "unrecognized arguments"),
     (["obs-diff", "--baseline", "a.json", "--candidate", "b.json",
       "--seed", "1"], "unrecognized arguments"),
+    # Output paths are checked before anything runs.
+    (["trace", "--trace-out", "/no/such/dir/x.json"],
+     "argument --trace-out: directory '/no/such/dir' does not exist"),
+    (["trace", "--summary-out", "/no/such/dir/s.json"],
+     "argument --summary-out: directory '/no/such/dir' does not exist"),
+    (["scale", "--smoke", "--out", "/no/such/dir/scale.json"],
+     "argument --out: directory '/no/such/dir' does not exist"),
+    (["perfbench", "--smoke", "--out", "/no/such/dir/bench.json"],
+     "argument --out: directory"),
+    (["crossval", "--smoke", "--out", "/no/such/dir/crossval.json"],
+     "argument --out: directory"),
+    (["capacity", "--target-tps", "200", "--out", "/no/such/dir/plan.json"],
+     "argument --out: directory"),
+    (["lint", "--out", "/no/such/dir/lint.txt"], "argument --out: directory"),
+    (["lint", "--write-baseline", "/no/such/dir/baseline.json"],
+     "argument --write-baseline: directory"),
 ])
 def test_usage_errors_exit_with_code_2(argv, error, capsys):
     # Each command declares only its own flags: a flag that belongs to

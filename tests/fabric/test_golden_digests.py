@@ -70,7 +70,7 @@ def _determinism_digest(orderer_kind: str, couchdb: bool = False) -> str:
 
 #: Runs no perfbench scenario covers, pinned under their own keys: the
 #: three fault scenarios (seed 1, one run each), the two ``repro scale
-#: --smoke`` grid points (observed, sampler off) and the default
+#: --smoke`` grid points (observed) and the default
 #: ``repro check-determinism`` points (AND2, 60 tx/s, 4 s, observed).
 EXTRA_DIGESTS: dict[str, typing.Callable[[], str]] = {
     "faults:kafka-broker-kill": lambda: _fault_digest("kafka-broker-kill"),
@@ -154,8 +154,7 @@ def test_same_seed_same_digest() -> None:
 def test_tracing_enabled_digest_matches_golden(name: str) -> None:
     """Observability is schedule-neutral: tracing must not move the golden.
 
-    Runs the scenario with the tracer and resource monitors attached
-    (sampler off — its periodic timeouts are real kernel events) and
+    Runs the scenario with the tracer and resource monitors attached and
     demands the bit-identical committed digest.  If this fails, some
     instrumentation path scheduled an event, consumed randomness, or
     reordered the heap.

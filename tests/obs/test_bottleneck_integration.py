@@ -16,14 +16,14 @@ from repro.experiments.runner import make_topology, make_workload
 from repro.fabric.network import FabricNetwork
 from repro.fabric.run import Scenario, run
 from repro.obs.tracer import NULL_TRACER
+from repro.sim.sanitizer import TraceDigest
 
 
 @pytest.fixture(scope="module")
 def traced_point():
     """One observed Fig. 5 AND5 run past validate capacity (shared)."""
     return run(Scenario(make_topology("solo", "AND5", 10),
-                        make_workload(250.0, 8.0), seed=1, observe=True,
-                        sample_interval=0.05))
+                        make_workload(250.0, 8.0), seed=1, observe=True))
 
 
 @pytest.fixture(scope="module")
@@ -106,39 +106,31 @@ def test_tracing_is_default_off_and_timing_neutral():
     assert baseline.obs is None
     observed = FabricNetwork(topology, workload, seed=3, observe=True)
     assert observed.context.tracer is not NULL_TRACER
-    # Observation must not perturb the simulation: identical metrics.
+    # Observation must not perturb the simulation: identical metrics and
+    # the very same event schedule.
+    digests = [TraceDigest(network.sim, keep_records=False).attach()
+               for network in (baseline, observed)]
     assert baseline.run_workload() == observed.run_workload()
+    assert baseline.sim.events_processed == observed.sim.events_processed
+    assert digests[0].hexdigest == digests[1].hexdigest
     assert observed.obs.monitors
     assert observed.bottleneck_report().resources
 
 
-def test_window_report_is_the_same_with_and_without_the_sampler():
-    """The measurement window is read exactly, sampler or not.
+def test_window_report_reads_the_measurement_window():
+    """The report covers the measurement window, not the whole run.
 
-    Without sampler checkpoints the window used to be interpolated from
-    the attach time to the horizon, i.e. the whole-run mean: on this run
-    it named peer9's validator pool at 51% busy instead of peer0's at 93%.
+    A window read as the whole-run mean would name peer9's validator pool
+    at about half busy instead of a pool saturated inside the window.
     """
-    def report(sample_interval):
-        result = run(Scenario(make_topology("solo", "AND5", 10),
-                              make_workload(250.0, 6.0), seed=1,
-                              observe=True,
-                              sample_interval=sample_interval))
-        return result.network.bottleneck_report()
-
-    unsampled, sampled = report(None), report(0.05)
-    assert unsampled.window == sampled.window == (3.5, 7.0)
-    assert unsampled.bottleneck.name == sampled.bottleneck.name
-    assert unsampled.bottleneck.utilization == pytest.approx(
-        sampled.bottleneck.utilization, rel=1e-9)
-    assert unsampled.bottleneck.utilization > 0.9
-    sampled_by_name = {usage.name: usage for usage in sampled.resources}
-    for usage in unsampled.resources:
-        other = sampled_by_name[usage.name]
-        assert usage.utilization == pytest.approx(other.utilization,
-                                                  rel=1e-9, abs=1e-12)
-        assert usage.mean_queue == pytest.approx(other.mean_queue,
-                                                 rel=1e-9, abs=1e-12)
+    result = run(Scenario(make_topology("solo", "AND5", 10),
+                          make_workload(250.0, 6.0), seed=1, observe=True))
+    report = result.network.bottleneck_report()
+    assert report.window == (3.5, 7.0)
+    assert report.bottleneck.utilization > 0.9
+    whole_run = result.network.obs.report()
+    lifetime = whole_run.resource(report.bottleneck.name).utilization
+    assert report.bottleneck.utilization - lifetime > 0.2
 
 
 def test_bottleneck_report_requires_observe():

@@ -1,8 +1,8 @@
-"""Tests for resource monitors and the utilization sampler."""
+"""Tests for resource monitors and their exact breakpoint logs."""
 
 import pytest
 
-from repro.obs.sampler import UtilizationSampler, watch_resource, watch_store
+from repro.obs.monitor import COUNTER_INTERVAL, watch_resource, watch_store
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
 
@@ -44,7 +44,7 @@ def test_monitor_queue_depth_and_wait_distribution():
     assert monitor.mean_queue(0.0, 3.0) == pytest.approx(1.0)
 
 
-def test_windowed_utilization_interpolates_between_checkpoints():
+def test_windowed_utilization_is_exact_at_any_bounds():
     sim = Simulation()
     resource = Resource(sim, capacity=1, name="cpu")
     monitor = watch_resource(resource)
@@ -53,22 +53,15 @@ def test_windowed_utilization_interpolates_between_checkpoints():
         yield sim.timeout(2.0)
         yield from resource.use(4.0)
 
-    def checkpoints():
-        for _ in range(3):
-            yield sim.timeout(4.0)
-            monitor.checkpoint()
-
     sim.process(worker())
-    sim.process(checkpoints())
-    sim.run()
+    sim.run(until=12.0)
     # Busy exactly during [2, 6): full window has 4 busy of 12 elapsed.
     assert monitor.utilization(0.0, 12.0) == pytest.approx(4.0 / 12.0)
-    # [4, 8) straddles two checkpoints: busy [4, 6) = half the window.
+    # [4, 8) straddles the release at 6: busy [4, 6) = half the window.
     assert monitor.utilization(4.0, 8.0) == pytest.approx(0.5)
-    # Checkpoint-free sub-window [0, 2) interpolates the first checkpoint.
-    assert monitor.utilization(0.0, 2.0) == pytest.approx(
-        monitor.utilization(0.0, 4.0), abs=1e-9)
-
+    # [0, 2) ends before the first grant: idle, not the [0, 4) mean.
+    assert monitor.utilization(0.0, 2.0) == 0.0
+    assert monitor.utilization(0.0, 4.0) == 0.5
 
 def test_store_monitor_records_depth():
     sim = Simulation()
@@ -90,12 +83,10 @@ def test_store_monitor_records_depth():
     assert monitor.max_queue == 2
 
 
-def test_marked_window_is_exact_without_checkpoints():
+def test_any_window_is_exact():
     sim = Simulation()
     resource = Resource(sim, capacity=1, name="cpu")
     monitor = watch_resource(resource)
-    monitor.mark(3.0)
-    monitor.mark(7.0)
 
     def worker():
         yield sim.timeout(2.0)
@@ -108,54 +99,9 @@ def test_marked_window_is_exact_without_checkpoints():
     # Busy 1 s of the 4 s window [3, 7); the whole-run mean is 4/10.
     assert monitor.utilization(3.0, 7.0) == 0.25
     assert monitor.utilization() == pytest.approx(0.4)
-    # An unmarked bound is still interpolated: 6.0 reads 0.4 x 6 = 2.4
-    # busy-seconds (exactly: 2.0), so [3, 6) reads 1.4/3, not 1/3.
-    assert monitor.utilization(3.0, 6.0) == pytest.approx(1.4 / 3)
-    assert not monitor.checkpoints
-
-
-def test_mark_behind_the_accounting_point_is_ignored():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(2.0)
-
-    sim.process(worker())
-    sim.run()
-    monitor.mark(1.0)
-    monitor.mark(5.0)
-    assert monitor._pending_marks == [5.0]
-
-
-def test_sampler_without_interval_never_starts():
-    sim = Simulation()
-    sampler = UtilizationSampler(sim, {}, interval=None)
-    sampler.start(until=5.0)
-    sim.run(until=10.0)
-    assert sampler.samples_taken == 0
-    assert sim.events_processed == 0
-
-
-def test_sampler_checkpoints_all_monitors_and_stops_at_until():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-    sampler = UtilizationSampler(sim, {"cpu": monitor}, interval=1.0)
-    sampler.start(until=5.0)
-    sim.run(until=100.0)
-    assert sim.now == 100.0 or sim.now >= 5.0
-    assert sampler.samples_taken == 5
-    assert len(monitor.checkpoints) == 5
-    assert monitor.checkpoints[-1].time == pytest.approx(5.0)
-
-
-def test_sampler_rejects_non_positive_interval():
-    sim = Simulation()
-    with pytest.raises(ValueError):
-        UtilizationSampler(sim, {}, interval=0.0)
-
+    # Neither bound is a state-change time, yet [3, 6) reads its exact
+    # 1 busy-second of 3, not a mean interpolated over the run.
+    assert monitor.utilization(3.0, 6.0) == 1 / 3
 
 def test_busy_series_reports_per_interval_means():
     sim = Simulation()
@@ -165,21 +111,62 @@ def test_busy_series_reports_per_interval_means():
     def worker():
         yield from resource.use(1.0)
 
-    def checkpoints():
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-
     sim.process(worker())
     sim.process(worker())
-    sim.process(checkpoints())
-    sim.run()
+    sim.run(until=2.0)
     series = monitor.busy_series()
-    assert series[0] == (2.0, pytest.approx(1.0))   # 2 busy for 1s of 2s
-    assert series[1] == (4.0, pytest.approx(0.0))
+    assert len(series) == round(2.0 / COUNTER_INTERVAL)
+    assert series[0] == (pytest.approx(COUNTER_INTERVAL), 2.0)  # both busy
+    assert series[-1] == (2.0, 0.0)                             # idle
+    assert [busy for _when, busy in series] == pytest.approx(
+        [2.0] * (len(series) // 2) + [0.0] * (len(series) // 2))
 
+
+def test_busy_series_starts_one_interval_after_attach_and_covers_lifetime():
+    sim = Simulation()
+    resource = Resource(sim, capacity=2, name="pool")
+
+    def idle():
+        yield sim.timeout(0.3)
+
+    sim.process(idle())
+    sim.run()
+    monitor = watch_resource(resource)      # attached at 0.3, not 0
+
+    def worker(delay, hold):
+        yield sim.timeout(delay)
+        yield from resource.use(hold)
+
+    for delay, hold in [(0.01, 0.37), (0.02, 0.5), (0.4, 0.123),
+                        (0.45, 0.2), (0.9, 0.07)]:
+        sim.process(worker(delay, hold))
+    sim.run(until=1.3)
+    series = monitor.busy_series()
+    assert series[0][0] == pytest.approx(0.3 + COUNTER_INTERVAL)
+    assert series[-1][0] == 1.3
+    assert len(series) == round(1.0 / COUNTER_INTERVAL)
+    lifetime_busy = monitor.utilization() * monitor.capacity * 1.0
+    assert sum(busy * COUNTER_INTERVAL for _when, busy in series) == (
+        pytest.approx(lifetime_busy, rel=1e-9))
+
+
+def test_same_time_state_changes_share_one_breakpoint():
+    sim = Simulation()
+    resource = Resource(sim, capacity=1, name="cpu")
+    monitor = watch_resource(resource)
+
+    def worker():
+        yield sim.timeout(1.0)
+        yield from resource.use(0.0)        # grant and release at 1.0
+        yield from resource.use(1.0)        # busy over [1, 2)
+
+    sim.process(worker())
+    sim.run(until=4.0)
+    # Breakpoints at attach, 1.0 and 2.0: the zero-length hold left no
+    # breakpoint of its own, only the state the one at 1.0 holds.
+    assert list(monitor._times) == [0.0, 1.0, 2.0]
+    assert monitor.utilization() == 0.25
+    assert monitor.utilization(1.0, 2.0) == 1.0
 
 def test_unobserved_resource_has_no_monitor_attached():
     sim = Simulation()
@@ -206,75 +193,8 @@ def test_zero_duration_windows_report_zero_not_nan():
     assert monitor.utilization(1.0, 1.0) == 0.0
     assert monitor.mean_queue(1.0, 1.0) == 0.0
     assert monitor.utilization(3.0, 1.0) == 0.0
-    elapsed, busy, queue, _t0 = monitor._window(1.0, 1.0)
+    elapsed, busy, queue = monitor._window(1.0, 1.0)
     assert (elapsed, busy, queue) == (0.0, 0.0, 0.0)
-
-
-def test_coincident_checkpoints_skip_zero_duration_intervals():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(1.0)
-
-    def checkpoints():
-        monitor.checkpoint()
-        monitor.checkpoint()      # same instant: zero-duration interval
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-        monitor.checkpoint()
-
-    sim.process(worker())
-    sim.process(checkpoints())
-    sim.run()
-    # The doubled checkpoints contribute no intervals; the one real
-    # interval averages 1 busy-second over 2 seconds.
-    assert monitor.busy_series() == [(2.0, pytest.approx(0.5))]
-    assert monitor.queue_series() == [(2.0, pytest.approx(0.0))]
-
-
-def test_queue_series_reports_per_interval_mean_depth():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(2.0)
-
-    def checkpoints():
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-        yield sim.timeout(2.0)
-        monitor.checkpoint()
-
-    sim.process(worker())
-    sim.process(worker())
-    sim.process(checkpoints())
-    sim.run()
-    series = monitor.queue_series()
-    # One request queued during [0, 2), none during [2, 4).
-    assert series[0] == (2.0, pytest.approx(1.0))
-    assert series[1] == (4.0, pytest.approx(0.0))
-
-
-def test_checkpoint_carries_queueing_counters():
-    sim = Simulation()
-    resource = Resource(sim, capacity=1, name="cpu")
-    monitor = watch_resource(resource)
-
-    def worker():
-        yield from resource.use(1.0)
-
-    sim.process(worker())
-    sim.process(worker())
-    sim.run()
-    point = monitor.checkpoint()
-    assert point.grants == 2
-    assert point.completions == 2
-    assert point.wait_total == pytest.approx(1.0)     # 0s + 1s queued
-    assert point.service_total == pytest.approx(2.0)  # two 1s holds
 
 
 def test_monitor_records_service_times_and_cancels():

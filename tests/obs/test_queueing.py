@@ -7,7 +7,7 @@ from repro.obs.queueing import (
     render_queueing_report,
     resource_stats,
 )
-from repro.obs.sampler import watch_resource, watch_store
+from repro.obs.monitor import watch_resource, watch_store
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.queueing import SATURATION_THRESHOLD
 from repro.obs.report import bottleneck_report, span_statistics
-from repro.obs.sampler import watch_resource, watch_store
+from repro.obs.monitor import watch_resource, watch_store
 from repro.obs.tracer import Tracer
 from repro.sim import Simulation
 from repro.sim.resources import Resource, Store
