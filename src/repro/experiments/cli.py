@@ -12,10 +12,10 @@ Usage::
     repro faults --scenario raft-leader-kill   # double run + criteria
     repro statedb                      # state-DB backend ablation (Thakkar)
     repro check-determinism --orderer solo --statedb couchdb
-    repro perfbench                    # wall-clock benchmarks, all scenarios
-    repro perfbench --smoke --check-golden --out BENCH_SMOKE.json  # CI gate
+    repro perfbench                    # golden records, all scenarios
+    repro perfbench --smoke --check-golden  # CI gate: exact digest + events
     repro trace --summary-out trace_summary.json  # critical-path + queueing
-    repro obs-diff --baseline BENCH_PR10.json --candidate BENCH_NEW.json
+    repro obs-diff --baseline base.json --candidate trace_summary.json
     repro crossval --smoke --out crossval.json  # analytic model vs sim gate
     repro capacity --target-tps 300 --max-p95 2.0 --policy AND5 --json
 
@@ -100,13 +100,11 @@ def _run_trace(args) -> int:
 
 
 def _run_obs_diff(args) -> int:
-    """The ``obs-diff`` subcommand: perf-regression gate for CI."""
+    """The ``obs-diff`` subcommand: diff two trace summaries."""
     from repro.obs.regression import diff_files, render_diff
 
     result = diff_files(args.baseline, args.candidate,
-                        tolerance=args.tolerance,
-                        wall_tolerance=args.tol_wall,
-                        events_rate_tolerance=args.tol_events_rate)
+                        tolerance=args.tolerance)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
     else:
@@ -335,7 +333,7 @@ def _run_scale(args) -> int:
 
 
 def _run_perfbench(args) -> int:
-    """The ``perfbench`` subcommand: wall-clock runs + golden digests."""
+    """The ``perfbench`` subcommand: the golden scenario matrix."""
     from repro.experiments.farm import FarmError
     from repro.experiments.perfbench import SMOKE_SCENARIOS, run_perfbench
 
@@ -347,19 +345,15 @@ def _run_perfbench(args) -> int:
         report = run_perfbench(
             names, seed=args.seed, scale=scale,
             check_golden=args.check_golden, update_golden=args.update_golden,
-            jobs=args.jobs, repeats=args.repeats)
+            jobs=args.jobs)
     except FarmError as error:
         print(f"perfbench: scenario {error.label!r} failed in a worker:\n"
               f"{error.detail}", file=sys.stderr)
         return 1
     print(report.render())
-    if args.out:
-        report.write_bench_file(args.out)
-        print(f"benchmark trajectory written to {args.out}")
     if not report.ok:
-        print("perfbench: golden digest check FAILED (the simulated "
-              "schedule changed; if deliberate, regenerate with "
-              "--update-golden)")
+        print("perfbench: golden check FAILED (the simulated run changed; "
+              "if deliberate, regenerate with --update-golden)")
         return 1
     return 0
 
@@ -603,8 +597,8 @@ def _parser() -> argparse.ArgumentParser:
                          help="run the paper-scale ablation (slower)")
 
     perf = command("perfbench", _run_perfbench,
-                   "wall-clock benchmarks of the simulator itself with "
-                   "golden-digest checks", [seed, out, jobs])
+                   "the golden scenario matrix: digest, event budget and "
+                   "simulated throughput of each run", [seed, jobs])
     crossval = command("crossval", _run_crossval,
                        "the analytic-model-vs-simulator accuracy gate",
                        [seed, out, jobs])
@@ -618,16 +612,11 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--smoke", action="store_true",
                          help="the scaled-down CI subset")
     perf.add_argument("--check-golden", action="store_true",
-                      help="fail if any run's trace digest diverges from "
-                           "the committed golden value")
+                      help="fail if any run's digest, event count or "
+                           "sim_tps differs from the committed golden")
     perf.add_argument("--update-golden", action="store_true",
                       help="deliberately regenerate the committed golden "
-                           "digests from this run")
-    perf.add_argument("--repeats", type=int, default=1, metavar="N",
-                      help="time each scenario N times and keep the fastest "
-                           "wall clock (best-of-N; default 1).  The schedule "
-                           "and digest are identical across repeats — only "
-                           "host noise varies")
+                           "records from this run")
 
     scale = command("scale", _run_scale,
                     "peers x channels x population sweeps with aggregated "
@@ -681,25 +670,14 @@ def _parser() -> argparse.ArgumentParser:
                                "summary")
 
     diff = command("obs-diff", _run_obs_diff,
-                   "the perf-regression gate between two bench files")
+                   "diff two trace summaries on simulated throughput and "
+                   "latency")
     diff.add_argument("--baseline", required=True, metavar="PATH",
-                      help="baseline BENCH_*.json or trace-summary file "
-                           "(the accepted reference)")
+                      help="baseline trace summary (the accepted reference)")
     diff.add_argument("--candidate", required=True, metavar="PATH",
-                      help="candidate measurement file to gate")
+                      help="candidate trace summary to gate")
     diff.add_argument("--tolerance", type=float, default=0.05,
-                      help="relative tolerance for deterministic metrics "
-                           "(default 0.05)")
-    diff.add_argument("--tol-wall", type=float, default=None, metavar="FRAC",
-                      help="also gate wall-clock time at this relative "
-                           "tolerance (default: report only; wall time is "
-                           "machine-dependent)")
-    diff.add_argument("--tol-events-rate", type=float, default=None,
-                      metavar="FRAC",
-                      help="also gate the kernel event rate (events_per_s) "
-                           "at this relative tolerance (default: report "
-                           "only; the rate is machine-dependent, gate it "
-                           "only against a same-host baseline)")
+                      help="relative tolerance (default 0.05)")
     diff.add_argument("--json", action="store_true",
                       help="emit the full diff as JSON")
     diff.add_argument("--verbose", action="store_true",

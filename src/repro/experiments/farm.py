@@ -7,9 +7,9 @@ a pool of worker processes while keeping the *result contract* identical
 to the sequential path:
 
 - **Deterministic merge order.**  Results are returned in task-submission
-  order, no matter which child finishes first — so reports, bench files,
-  and golden checks are byte-stable across ``--jobs`` values (wall-clock
-  fields aside, which measure the host, not the schedule).
+  order, no matter which child finishes first — so reports and golden
+  checks are byte-stable across ``--jobs`` values (the ``wall_s`` of
+  scale points aside, which measures the host, not the schedule).
 - **Seeded children.**  A task carries everything the worker needs (name,
   seed, scale); children inherit no ambient randomness, so a scenario
   computes the same digests and metrics in any process.

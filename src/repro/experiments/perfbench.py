@@ -1,64 +1,53 @@
-"""Wall-clock benchmarks of the simulator itself, with golden digests.
+"""The golden scenario matrix: exact records of reference runs.
 
-Every paper artifact is a sweep of full network simulations, so the
-wall-clock cost of the pure-Python event loop bounds how many scenarios we
-can explore.  This module measures that cost directly: it times reference
-runs across the configuration matrix the paper cares about (solo/raft/kafka
-ordering, OR and AND endorsement policies, LevelDB and CouchDB state
-backends) and reports, per scenario:
+Every paper artifact is a sweep of full network simulations over the
+configurations the paper cares about (solo/raft/kafka ordering, OR and AND
+endorsement policies, LevelDB and CouchDB state backends), plus the
+scale-out population.  This module names that matrix and pins each of its
+runs: a scenario runs once from :data:`GOLDEN_SEED` with a
+:class:`~repro.sim.sanitizer.TraceDigest` attached, and yields one
+:class:`GoldenRecord`:
 
-- ``wall_s``       — host seconds for the run (the quantity being optimised);
-- ``sim_tps``      — committed transactions per *simulated* second, which
-  must not move when only the host-side implementation changes;
-- ``events_per_s`` — kernel events popped per host second, the simulator's
-  native throughput metric (independent of the modelled workload).
+- ``digest``  — SHA-256 over every event pop (time, tie-break sequence,
+  owning process), so a match proves the event schedule unchanged;
+- ``events``  — kernel events popped: the run's event budget, the
+  simulator's cost in a unit that does not depend on the host;
+- ``sim_tps`` — committed transactions per *simulated* second (2 places).
 
-Correctness oracle: each run executes with a
-:class:`~repro.sim.sanitizer.TraceDigest` attached, and the resulting
-digest is compared against a *golden* value committed under
-``tests/fabric/golden/``.  A matching digest proves a refactor changed
-speed but not the event schedule (same pops, same order, same times).
-Optimisations that intentionally remove bookkeeping events (the
-uncontended-resource fast path, daemon/eager processes) change the digest
-by construction; those were validated instead by bit-identical
-:class:`~repro.metrics.collector.PhaseMetrics` across the whole scenario
-matrix before regenerating the goldens (see EXPERIMENTS.md).  Regenerating
-is always a deliberate act: ``repro perfbench --update-golden`` or
-``pytest --update-golden``.
+The records are committed in ``tests/fabric/golden/digests.json`` and
+compared exactly.  A change that removes or adds events changes the digest
+and the event count together, so the record shows the budget's delta next
+to the schedule change.  Regenerating is always a deliberate act:
+``repro perfbench --update-golden`` or ``pytest tests/fabric
+--update-golden``.  Host timing is not measured here; ``layerbench/``
+times the runs as users run them.
 
 CLI::
 
-    repro perfbench                       # full scenarios, report only
-    repro perfbench --smoke               # scaled-down subset (CI gate)
-    repro perfbench --check-golden        # fail on any digest divergence
-    repro perfbench --out BENCH_PR10.json # write the benchmark trajectory
-    repro perfbench --repeats 3           # best-of-3 timing (recording runs)
+    repro perfbench                   # full scenarios, report only
+    repro perfbench --smoke           # scaled-down subset (CI gate)
+    repro perfbench --check-golden    # fail on any record divergence
 """
 
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
-import os
 import pathlib
 import typing
 
 from repro.common.config import StateDBConfig
 from repro.experiments.farm import run_farm
 from repro.experiments.runner import make_topology, make_workload
-from repro.fabric.run import Scenario, run
+from repro.fabric.run import RunResult, Scenario, run
 
-#: Seed used for every golden digest; changing it invalidates the goldens.
+#: Seed used for every golden record; changing it invalidates the goldens.
 GOLDEN_SEED = 1
-
-#: Benchmark trajectory file for this PR (see ISSUE 10 / EXPERIMENTS.md).
-BENCH_FILE = "BENCH_PR10.json"
 
 
 @dataclasses.dataclass(frozen=True)
 class PerfScenario:
-    """One benchmarked configuration at full (paper-style) scale."""
+    """One configuration of the matrix at full (paper-style) scale."""
 
     name: str
     orderer_kind: str
@@ -134,8 +123,8 @@ def _scenario_list() -> list[PerfScenario]:
                      statedb_kind="couchdb"),
         # The scale-out configuration: a committing fleet past the
         # endorsing core, four channels, and a million-user aggregated
-        # population — the wall-clock proof that population size is a
-        # pure parameter (its cost tracks cohorts and rate, not users).
+        # population — the proof that population size is a pure
+        # parameter (its event budget tracks cohorts and rate, not users).
         PerfScenario("raft-population-scale", "raft", "OR(1..n)",
                      peers=60, channels=4, population_users=1_000_000),
     ]
@@ -144,7 +133,7 @@ def _scenario_list() -> list[PerfScenario]:
 SCENARIOS: dict[str, PerfScenario] = {
     scenario.name: scenario for scenario in _scenario_list()}
 
-#: The scenario whose wall-clock time anchors the PR-5 speedup target.
+#: The paper's hot path: Solo under AND5 past the validate capacity.
 REFERENCE_SCENARIO = "solo-and-leveldb"
 
 #: CI smoke subset: one scaled-down scenario per orderer type, plus the
@@ -154,96 +143,63 @@ SMOKE_SCENARIOS = ["solo-and-leveldb", "raft-and-leveldb",
                    "raft-population-scale"]
 
 
+@dataclasses.dataclass(frozen=True)
+class GoldenRecord:
+    """What one run must reproduce exactly."""
+
+    digest: str
+    events: int
+    sim_tps: float
+
+    @classmethod
+    def of(cls, result: RunResult) -> "GoldenRecord":
+        """The record of a run made with ``digest="hash"``."""
+        if result.digest is None:
+            raise ValueError("a golden record needs a digested run")
+        return cls(digest=result.digest.hexdigest, events=result.events,
+                   sim_tps=round(result.metrics.overall_throughput, 2))
+
+
+def golden_mismatches(expected: GoldenRecord | None,
+                      observed: GoldenRecord) -> list[str]:
+    """How ``observed`` differs from the committed ``expected`` record,
+    one line per field; empty when they agree."""
+    if expected is None:
+        return ["no committed golden"]
+    return [f"{field.name}: golden {getattr(expected, field.name)}, "
+            f"observed {getattr(observed, field.name)}"
+            for field in dataclasses.fields(GoldenRecord)
+            if getattr(expected, field.name) != getattr(observed, field.name)]
+
+
 @dataclasses.dataclass
 class PerfResult:
-    """One timed, digested scenario run."""
+    """One scenario run and, once checked, its golden verdict."""
 
     scenario: str
     scale: str
     seed: int
-    wall_s: float
-    sim_tps: float
-    events_per_s: float
-    events: int
-    digest: str
-    #: Golden verdict: True/False once checked, None when unchecked.
-    golden_ok: bool | None = None
-    #: The committed golden digest, when a check ran and one existed.
-    golden_expected: str | None = None
-
-    def bench_entry(self) -> dict[str, typing.Any]:
-        """The ``BENCH_PR10.json`` row for this run."""
-        return {
-            "wall_s": round(self.wall_s, 4),
-            "sim_tps": round(self.sim_tps, 2),
-            "events_per_s": round(self.events_per_s, 1),
-            "events": self.events,
-            "digest": self.digest,
-            "scale": self.scale,
-            "seed": self.seed,
-        }
+    record: GoldenRecord
+    #: :func:`golden_mismatches` against the committed record; None when
+    #: no check ran.
+    mismatches: list[str] | None = None
 
 
-def run_scenario(name: str, seed: int = GOLDEN_SEED,
-                 scale: str = "full", repeats: int = 1) -> PerfResult:
-    """Benchmark one scenario: timed run(s) plus a digested companion run.
+def run_scenario(name: str, seed: int = GOLDEN_SEED, scale: str = "full",
+                 observe: bool = False) -> PerfResult:
+    """Run one scenario once, digested, and return its record.
 
-    The timed run executes without the determinism sanitizer attached, so
-    ``wall_s`` measures the simulator itself rather than the SHA-256
-    digesting (which roughly doubles a run's cost).  A second run from the
-    same seed then produces the :class:`TraceDigest` compared against the
-    golden value — same seed, same schedule, so the digest certifies the
-    timed run too.
-
-    ``repeats > 1`` re-times the identical run and keeps the *fastest*
-    wall clock (best-of-N).  Every repeat computes the same schedule, the
-    same metrics, and the same digest — only host noise varies — so
-    best-of-N estimates the run's intrinsic cost, the quantity the bench
-    trajectory tracks.  The garbage collector is paused around each timed
-    section for the same reason: collection pauses measure the host's
-    allocation history, not the simulator.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    scenario = SCENARIOS[name].at_scale(scale).scenario(seed)
-    wall = float("inf")
-    gc_was_enabled = gc.isenabled()
-    for _ in range(repeats):
-        if gc_was_enabled:
-            gc.collect()
-            gc.disable()
-        try:
-            timed = run(scenario)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        wall = min(wall, timed.wall_s)
-        metrics, events = timed.metrics, timed.events
-        # Drop the network so the next repeat's collection frees it.
-        del timed
-    return PerfResult(
-        scenario=name, scale=scale, seed=seed, wall_s=wall,
-        sim_tps=metrics.overall_throughput,
-        events_per_s=events / wall if wall > 0 else 0.0,
-        events=events, digest=digest_scenario(name, seed=seed, scale=scale))
-
-
-def digest_scenario(name: str, seed: int = GOLDEN_SEED,
-                    scale: str = "full", observe: bool = False) -> str:
-    """The trace digest of one (untimed) scenario run.
-
-    This is the digest-only half of :func:`run_scenario`, exposed so the
-    golden-digest tests can check schedules without paying for a second,
-    timed run.  ``observe=True`` runs with span tracing and resource
-    monitors attached: the digest must not change, which is
-    the standing proof that observability is schedule-neutral.
+    ``observe=True`` runs with span tracing and resource monitors
+    attached: the record must not change, which is the standing proof
+    that observability is schedule-neutral.
     """
     scenario = SCENARIOS[name].at_scale(scale).scenario(seed, observe)
-    return run(scenario, digest="hash").digest.hexdigest
+    return PerfResult(scenario=name, scale=scale, seed=seed,
+                      record=GoldenRecord.of(run(scenario, digest="hash")))
 
 
 # ----------------------------------------------------------------------
-# Golden digests
+# Golden records
 # ----------------------------------------------------------------------
 
 def golden_key(name: str, scale: str) -> str:
@@ -251,40 +207,31 @@ def golden_key(name: str, scale: str) -> str:
 
 
 def golden_path() -> pathlib.Path:
-    """Location of the committed golden digests.
-
-    ``REPRO_GOLDEN_DIR`` overrides the default (the repository's
-    ``tests/fabric/golden/``, resolved relative to this file so the path
-    works from any working directory).
-    """
-    override = os.environ.get("REPRO_GOLDEN_DIR")
-    if override:
-        return pathlib.Path(override) / "digests.json"
+    """The committed goldens, resolved relative to this file so the path
+    works from any working directory."""
     return (pathlib.Path(__file__).resolve().parents[3]
             / "tests" / "fabric" / "golden" / "digests.json")
 
 
-def load_goldens(path: pathlib.Path | None = None) -> dict[str, str]:
-    path = path if path is not None else golden_path()
+def load_goldens() -> dict[str, GoldenRecord]:
+    path = golden_path()
     if not path.exists():
         return {}
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return {key: GoldenRecord(**entry)
+                for key, entry in json.load(handle).items()}
 
 
-def save_goldens(goldens: dict[str, str],
-                 path: pathlib.Path | None = None) -> pathlib.Path:
-    path = path if path is not None else golden_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(dict(sorted(goldens.items())), handle, indent=2,
-                  sort_keys=True)
+def save_goldens(goldens: typing.Mapping[str, GoldenRecord]) -> None:
+    with open(golden_path(), "w", encoding="utf-8") as handle:
+        json.dump({key: dataclasses.asdict(record)
+                   for key, record in goldens.items()},
+                  handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
 # ----------------------------------------------------------------------
-# The benchmark driver
+# The matrix driver
 # ----------------------------------------------------------------------
 
 @dataclasses.dataclass
@@ -294,61 +241,49 @@ class PerfBenchReport:
     results: list[PerfResult]
     scale: str
     seed: int
-    checked: bool
 
     @property
     def ok(self) -> bool:
         """False iff a golden check ran and found a divergence."""
-        return not any(result.golden_ok is False for result in self.results)
-
-    def write_bench_file(self, path: str | pathlib.Path) -> None:
-        payload = {result.scenario: result.bench_entry()
-                   for result in self.results}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        return not any(result.mismatches for result in self.results)
 
     def render(self) -> str:
         width = max(len(result.scenario) for result in self.results)
         lines = [f"perfbench ({self.scale} scale, seed {self.seed})",
-                 f"{'scenario':<{width}}  {'wall_s':>8}  {'sim_tps':>8}  "
-                 f"{'events/s':>10}  golden"]
+                 f"{'scenario':<{width}}  {'sim_tps':>8}  {'events':>9}  "
+                 f"golden"]
         for result in self.results:
-            if result.golden_ok is None:
+            if result.mismatches is None:
                 verdict = "-"
-            elif result.golden_ok:
+            elif not result.mismatches:
                 verdict = "ok"
             else:
-                verdict = ("MISSING" if result.golden_expected is None
-                           else "DIVERGED")
+                verdict = "DIVERGED: " + "; ".join(result.mismatches)
             lines.append(
-                f"{result.scenario:<{width}}  {result.wall_s:>8.2f}  "
-                f"{result.sim_tps:>8.1f}  {result.events_per_s:>10.0f}  "
-                f"{verdict}")
+                f"{result.scenario:<{width}}  {result.record.sim_tps:>8.2f}  "
+                f"{result.record.events:>9}  {verdict}")
         return "\n".join(lines)
 
 
-def _scenario_worker(task: tuple[str, int, str, int]) -> PerfResult:
+def _scenario_worker(task: tuple[str, int, str]) -> PerfResult:
     """Farm worker: one scenario, rebuilt from its explicit task tuple."""
-    name, seed, scale, repeats = task
-    return run_scenario(name, seed=seed, scale=scale, repeats=repeats)
+    name, seed, scale = task
+    return run_scenario(name, seed=seed, scale=scale)
 
 
 def run_perfbench(names: typing.Sequence[str] | None = None,
                   seed: int = GOLDEN_SEED, scale: str = "full",
                   check_golden: bool = False,
                   update_golden: bool = False,
-                  jobs: int = 1, repeats: int = 1) -> PerfBenchReport:
+                  jobs: int = 1) -> PerfBenchReport:
     """Run ``names`` (default: every scenario) at ``scale``.
 
-    With ``check_golden``, each result is compared against the committed
-    golden digest (a missing golden entry fails the check: a new scenario
-    must be golden-ed deliberately).  With ``update_golden``, the goldens
-    file is rewritten with the observed digests instead.  ``jobs > 1``
-    farms scenarios across processes (:mod:`repro.experiments.farm`);
-    digests, metrics, and report order are identical either way.
-    ``repeats`` is the best-of-N count per scenario (see
-    :func:`run_scenario`).
+    With ``check_golden``, each record is compared against the committed
+    golden (a missing golden fails the check: a new scenario must be
+    golden-ed deliberately).  With ``update_golden``, the goldens file is
+    rewritten with the observed records instead.  ``jobs > 1`` farms
+    scenarios across processes (:mod:`repro.experiments.farm`); records
+    and report order are identical either way.
     """
     if names is None:
         names = list(SCENARIOS)
@@ -357,22 +292,16 @@ def run_perfbench(names: typing.Sequence[str] | None = None,
         raise KeyError(f"unknown perfbench scenario(s): {unknown}; "
                        f"known: {sorted(SCENARIOS)}")
     results = run_farm(_scenario_worker,
-                       [(name, seed, scale, repeats) for name in names],
+                       [(name, seed, scale) for name in names],
                        jobs=jobs, labels=list(names))
-    if update_golden:
+    if update_golden or check_golden:
         goldens = load_goldens()
         for result in results:
-            goldens[golden_key(result.scenario, result.scale)] = result.digest
-        save_goldens(goldens)
-        for result in results:
-            result.golden_ok = True
-    elif check_golden:
-        goldens = load_goldens()
-        for result in results:
-            expected = goldens.get(golden_key(result.scenario, result.scale))
-            result.golden_expected = expected
-            # A missing golden fails the check too: a new scenario must be
-            # golden-ed deliberately via --update-golden.
-            result.golden_ok = expected == result.digest
-    return PerfBenchReport(results=results, scale=scale, seed=seed,
-                           checked=check_golden or update_golden)
+            key = golden_key(result.scenario, result.scale)
+            if update_golden:
+                goldens[key] = result.record
+            result.mismatches = golden_mismatches(goldens.get(key),
+                                                  result.record)
+        if update_golden:
+            save_goldens(goldens)
+    return PerfBenchReport(results=results, scale=scale, seed=seed)

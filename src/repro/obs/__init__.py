@@ -16,12 +16,12 @@ The subsystem has six cooperating parts:
   directly from measurements (the paper's §V analysis as a feature);
 - :mod:`repro.obs.critical_path` — per-transaction causal critical-path
   extraction and aggregated per-phase latency attribution;
-- :mod:`repro.obs.regression` — the perf-regression gate behind
+- :mod:`repro.obs.regression` — the trace-summary diff behind
   ``repro obs-diff``.
 
 Tracing is opt-in and default-off: ``NetworkContext.tracer`` is the no-op
 :data:`NULL_TRACER` unless an :class:`Observability` bundle installs a
-real one, so unobserved benchmark runs behave identically.
+real one, so unobserved runs behave identically.
 """
 
 from repro.obs.critical_path import (
@@ -44,7 +44,7 @@ from repro.obs.queueing import (
 from repro.obs.regression import (
     DiffResult,
     MetricDelta,
-    compare_measurements,
+    compare_summaries,
     diff_files,
 )
 from repro.obs.report import (
@@ -73,7 +73,7 @@ __all__ = [
     "Tracer",
     "TxCriticalPath",
     "bottleneck_report",
-    "compare_measurements",
+    "compare_summaries",
     "diff_files",
     "extract_critical_paths",
     "queueing_report",

@@ -170,6 +170,20 @@ def resource_stats(monitor: "ResourceMonitor",
     )
 
 
+def rank_key(stats: ResourceQueueStats) -> tuple[float, float, str]:
+    """Sort key for "busiest first", shared by every report.
+
+    Utilization, then mean queue depth, both rounded to 9 places and
+    descending, then name: resources tied but for last-bit float noise
+    (ten validator pools fed the same blocks) rank by name, so the
+    accumulation order of the monitors cannot pick the bottleneck.
+    Queues (capacity 0, utilization 0) rank by depth below every busy
+    pool.
+    """
+    return (-round(stats.utilization, 9), -round(stats.mean_queue, 9),
+            stats.name)
+
+
 def queueing_report(monitors: typing.Mapping[str, "ResourceMonitor"],
                     start: float | None = None,
                     end: float | None = None,
@@ -177,7 +191,7 @@ def queueing_report(monitors: typing.Mapping[str, "ResourceMonitor"],
     """Build the observatory report across all monitors."""
     stats = [resource_stats(monitor, start, end, tolerance)
              for monitor in monitors.values()]
-    stats.sort(key=lambda s: (-s.utilization, s.name))
+    stats.sort(key=rank_key)
     return QueueingReport(resources=stats, tolerance=tolerance)
 
 

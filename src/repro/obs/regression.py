@@ -1,23 +1,13 @@
-"""Perf-regression gate: diff two benchmark / trace-summary files.
+"""Diff two trace summaries: the gate behind ``repro obs-diff``.
 
-Compares a *candidate* measurement file against a *baseline* (both the
-``BENCH_*.json`` format written by ``repro perfbench --out`` or the
-trace-summary format written by ``repro trace --summary-out``), computes
-per-scenario metric deltas, and classifies each against a tolerance —
-the engine behind ``repro obs-diff``, which exits non-zero on any
-regression so CI can hold the line at the last accepted baseline.
-
-Gated by default are the *deterministic* metrics only — simulated
-throughput (``sim_tps`` / ``throughput_tps``), simulated latency, and
-the kernel event count (a proxy for simulator work per run: more events
-for the same workload means the simulation got more expensive).
-Wall-clock (``wall_s``) is machine-dependent, so it is reported but
-gated only when an explicit wall tolerance is supplied — comparing
-wall-clock across different machines would be noise, not signal.  The
-kernel event rate (``events_per_s`` = events / wall-clock) is equally
-machine-dependent and follows the same opt-in pattern behind
-``--tol-events-rate``: ungated by default, gated when a tolerance is
-supplied (the kernel-throughput guard for a pinned CI runner).
+Compares a *candidate* ``repro trace --summary-out`` file against a
+*baseline* on the simulated outcome, throughput (``throughput_tps``) and
+mean end-to-end latency (``avg_latency_s``), and classifies each metric's
+relative change against a tolerance; ``repro obs-diff`` exits non-zero on
+any regression.  Both metrics are simulated, so a diff means the modelled
+system changed, not the host.  Host timing belongs to ``layerbench/``, and
+the exact per-run event budget to the golden records of
+:mod:`repro.experiments.perfbench`.
 """
 
 from __future__ import annotations
@@ -33,19 +23,12 @@ class MetricSpec:
 
     key: str
     higher_is_better: bool
-    gate: str        # "deterministic", "wall", or "rate"
 
 
-#: Metrics recognised in measurement entries, in report order.
+#: Metrics compared, in report order.
 METRICS: tuple[MetricSpec, ...] = (
-    MetricSpec("sim_tps", higher_is_better=True, gate="deterministic"),
-    MetricSpec("throughput_tps", higher_is_better=True,
-               gate="deterministic"),
-    MetricSpec("avg_latency_s", higher_is_better=False,
-               gate="deterministic"),
-    MetricSpec("events", higher_is_better=False, gate="deterministic"),
-    MetricSpec("wall_s", higher_is_better=False, gate="wall"),
-    MetricSpec("events_per_s", higher_is_better=True, gate="rate"),
+    MetricSpec("throughput_tps", higher_is_better=True),
+    MetricSpec("avg_latency_s", higher_is_better=False),
 )
 
 
@@ -53,29 +36,24 @@ METRICS: tuple[MetricSpec, ...] = (
 class MetricDelta:
     """One metric compared across baseline and candidate."""
 
-    scenario: str
     metric: str
     baseline: float
     candidate: float
     change: float          # relative; positive = metric went up
     regression: bool
-    gated: bool            # False: reported only, never fails the gate
 
     def describe(self) -> str:
         arrow = "worse" if self.regression else "ok"
-        gate = "" if self.gated else " (not gated)"
-        return (f"{self.scenario}: {self.metric} {self.baseline:g} -> "
-                f"{self.candidate:g} ({self.change:+.2%}) {arrow}{gate}")
+        return (f"{self.metric} {self.baseline:g} -> {self.candidate:g} "
+                f"({self.change:+.2%}) {arrow}")
 
 
 @dataclasses.dataclass
 class DiffResult:
-    """The full comparison: per-metric deltas plus scenario bookkeeping."""
+    """The comparison of one scenario's summaries."""
 
+    scenario: str
     deltas: list[MetricDelta]
-    missing: list[str]      # scenarios in baseline but not candidate
-    added: list[str]        # scenarios in candidate but not baseline
-    skipped: list[str]      # present in both but not comparable (scale)
 
     @property
     def regressions(self) -> list[MetricDelta]:
@@ -83,132 +61,77 @@ class DiffResult:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.missing
+        return not self.regressions
 
     def as_dict(self) -> dict[str, typing.Any]:
         return {
             "ok": self.ok,
+            "scenario": self.scenario,
             "regressions": [dataclasses.asdict(d) for d in self.regressions],
             "deltas": [dataclasses.asdict(d) for d in self.deltas],
-            "missing_scenarios": self.missing,
-            "added_scenarios": self.added,
-            "skipped_scenarios": self.skipped,
         }
 
 
-def load_measurements(path: str) -> dict[str, dict[str, typing.Any]]:
-    """Load a measurement file into ``{scenario: {metric: value}}``.
-
-    Accepts the perfbench format (mapping of scenario name to metric
-    row) and the single-scenario trace-summary format (a flat object
-    carrying ``throughput_tps`` etc.), which is wrapped under its
-    ``scenario`` key (default ``"trace"``).
-    """
+def load_summary(path: str) -> dict[str, typing.Any]:
+    """Load a ``repro trace --summary-out`` file."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    if any(spec.key in data for spec in METRICS):
-        # Flat single-scenario summary.
-        return {str(data.get("scenario", "trace")): data}
-    entries: dict[str, dict[str, typing.Any]] = {}
-    for name, row in data.items():
-        if isinstance(row, dict):
-            entries[str(name)] = row
-    return entries
+    if not isinstance(data, dict) or not any(spec.key in data
+                                             for spec in METRICS):
+        raise ValueError(
+            f"{path}: not a trace summary (expected a JSON object with "
+            f"{' or '.join(spec.key for spec in METRICS)})")
+    return data
 
 
-def compare_measurements(
-        baseline: typing.Mapping[str, typing.Mapping[str, typing.Any]],
-        candidate: typing.Mapping[str, typing.Mapping[str, typing.Any]],
-        tolerance: float = 0.05,
-        wall_tolerance: float | None = None,
-        events_rate_tolerance: float | None = None) -> DiffResult:
+def compare_summaries(baseline: typing.Mapping[str, typing.Any],
+                      candidate: typing.Mapping[str, typing.Any],
+                      tolerance: float = 0.05) -> DiffResult:
     """Diff candidate against baseline.
 
-    A gated metric regresses when it moves in its bad direction by more
-    than the tolerance (relative).  ``wall_tolerance=None`` (default)
-    leaves wall-clock ungated; ``events_rate_tolerance=None`` likewise
-    leaves the kernel event rate (``events_per_s``) ungated — both are
-    host-dependent, so gating them only makes sense against a baseline
-    recorded on the same machine.  Scenarios whose ``scale`` fields
-    differ are skipped: a smoke run is not comparable to a full run.
+    A metric regresses when it moves in its bad direction by more than
+    the tolerance (relative).  Summaries of different scenarios are not
+    comparable and raise :class:`ValueError`.
     """
+    scenario = str(baseline.get("scenario", "trace"))
+    other = str(candidate.get("scenario", "trace"))
+    if other != scenario:
+        raise ValueError(f"baseline is scenario {scenario!r} but candidate "
+                         f"is {other!r}: not comparable")
     deltas: list[MetricDelta] = []
-    skipped: list[str] = []
-    for name in sorted(baseline):
-        if name not in candidate:
+    for spec in METRICS:
+        if spec.key not in baseline or spec.key not in candidate:
             continue
-        base_row, cand_row = baseline[name], candidate[name]
-        base_scale = base_row.get("scale")
-        cand_scale = cand_row.get("scale")
-        if base_scale is not None and cand_scale is not None \
-                and base_scale != cand_scale:
-            skipped.append(name)
-            continue
-        for spec in METRICS:
-            if spec.key not in base_row or spec.key not in cand_row:
-                continue
-            base_value = float(base_row[spec.key])
-            cand_value = float(cand_row[spec.key])
-            change = ((cand_value - base_value) / abs(base_value)
-                      if base_value else
-                      (0.0 if cand_value == base_value else float("inf")))
-            if spec.gate == "deterministic":
-                gated, limit = True, tolerance
-            elif spec.gate == "wall":
-                gated = wall_tolerance is not None
-                limit = wall_tolerance if gated else 0.0
-            elif spec.gate == "rate":
-                gated = events_rate_tolerance is not None
-                limit = events_rate_tolerance if gated else 0.0
-            else:
-                gated, limit = False, 0.0
-            bad_change = -change if spec.higher_is_better else change
-            regression = gated and bad_change > limit
-            deltas.append(MetricDelta(
-                scenario=name, metric=spec.key, baseline=base_value,
-                candidate=cand_value, change=change,
-                regression=regression, gated=gated))
-    missing = [name for name in sorted(baseline)
-               if name not in candidate]
-    added = [name for name in sorted(candidate)
-             if name not in baseline]
-    return DiffResult(deltas=deltas, missing=missing, added=added,
-                      skipped=skipped)
+        base_value = float(baseline[spec.key])
+        cand_value = float(candidate[spec.key])
+        change = ((cand_value - base_value) / abs(base_value)
+                  if base_value else
+                  (0.0 if cand_value == base_value else float("inf")))
+        bad_change = -change if spec.higher_is_better else change
+        deltas.append(MetricDelta(
+            metric=spec.key, baseline=base_value, candidate=cand_value,
+            change=change, regression=bad_change > tolerance))
+    return DiffResult(scenario=scenario, deltas=deltas)
 
 
 def diff_files(baseline_path: str, candidate_path: str,
-               tolerance: float = 0.05,
-               wall_tolerance: float | None = None,
-               events_rate_tolerance: float | None = None) -> DiffResult:
-    """Convenience wrapper: load both files and compare."""
-    return compare_measurements(load_measurements(baseline_path),
-                                load_measurements(candidate_path),
-                                tolerance=tolerance,
-                                wall_tolerance=wall_tolerance,
-                                events_rate_tolerance=events_rate_tolerance)
+               tolerance: float = 0.05) -> DiffResult:
+    """Convenience wrapper: load both summaries and compare."""
+    return compare_summaries(load_summary(baseline_path),
+                             load_summary(candidate_path),
+                             tolerance=tolerance)
 
 
 def render_diff(result: DiffResult, verbose: bool = False) -> str:
     """Human-readable gate output: regressions first, then notes."""
     lines: list[str] = []
     if result.regressions:
-        lines.append(f"PERF REGRESSIONS ({len(result.regressions)}):")
+        lines.append(f"PERF REGRESSIONS in {result.scenario} "
+                     f"({len(result.regressions)}):")
         lines.extend(f"  {d.describe()}" for d in result.regressions)
-    if result.missing:
-        lines.append("Scenarios missing from candidate: "
-                     + ", ".join(result.missing))
-    if result.skipped:
-        lines.append("Skipped (scale mismatch): "
-                     + ", ".join(result.skipped))
-    if result.added:
-        lines.append("New scenarios (not gated): "
-                     + ", ".join(result.added))
     if verbose or not result.deltas:
-        compared = sorted({d.scenario for d in result.deltas})
-        lines.append(f"Compared {len(compared)} scenario(s): "
-                     + (", ".join(compared) if compared else "none"))
+        lines.append(f"Compared {len(result.deltas)} metric(s) of "
+                     f"{result.scenario}")
         lines.extend(f"  {d.describe()}" for d in result.deltas
                      if not d.regression)
     if result.ok:

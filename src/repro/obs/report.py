@@ -16,7 +16,7 @@ import dataclasses
 import typing
 
 from repro.metrics.stats import StreamingHistogram
-from repro.obs.queueing import ResourceQueueStats, resource_stats
+from repro.obs.queueing import ResourceQueueStats, rank_key, resource_stats
 from repro.obs.monitor import ResourceMonitor
 from repro.obs.tracer import Tracer
 
@@ -168,10 +168,9 @@ def bottleneck_report(tracer: Tracer,
     """
     usages = [resource_stats(monitor, start, end)
               for monitor in monitors.values()]
-    # Server pools rank by utilization; pure queues sort below them by
-    # mean depth (they cannot saturate, only reflect upstream pressure).
-    usages.sort(key=lambda u: (u.utilization, u.mean_queue, u.name),
-                reverse=True)
+    # Pure queues rank below every busy pool (they cannot saturate, only
+    # reflect upstream pressure).
+    usages.sort(key=rank_key)
     pools = [usage for usage in usages if usage.capacity > 0]
     bottleneck = pools[0] if pools else (usages[0] if usages else None)
     saturated_phase = ""

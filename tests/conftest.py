@@ -2,7 +2,7 @@
 
 Two things live here:
 
-1. The ``--update-golden`` flag, which lets the golden-digest tests
+1. The ``--update-golden`` flag, which lets the golden-record tests
    rewrite ``tests/fabric/golden/digests.json`` instead of asserting
    against it (see ``tests/fabric/test_golden_digests.py``).
 
@@ -33,8 +33,9 @@ CHANNEL = "mychannel"
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite the committed golden trace digests with the digests "
-             "observed in this run instead of asserting against them")
+        help="rewrite the committed golden records (digest, events, "
+             "sim_tps) with those observed in this run instead of asserting "
+             "against them")
 
 
 @pytest.fixture

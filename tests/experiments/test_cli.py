@@ -95,39 +95,35 @@ def test_trace_summary_out_writes_obs_diff_comparable_json(tmp_path, capsys):
     assert payload["queueing"]["little_ok"] is True
 
 
-def test_obs_diff_passes_against_identical_baseline(tmp_path, capsys):
+def _summary(tmp_path, name, **metrics):
     import json
 
-    bench = {"solo": {"sim_tps": 100.0, "events": 1000, "scale": "smoke"}}
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(bench), encoding="utf-8")
-    assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(base)]) == 0
+    path = tmp_path / name
+    path.write_text(json.dumps(dict({"scenario": "solo-AND5-60tps"},
+                                    **metrics)), encoding="utf-8")
+    return str(path)
+
+
+def test_obs_diff_passes_against_identical_baseline(tmp_path, capsys):
+    base = _summary(tmp_path, "base.json", throughput_tps=100.0,
+                    avg_latency_s=0.5)
+    assert main(["obs-diff", "--baseline", base, "--candidate", base]) == 0
     assert "no regressions" in capsys.readouterr().out
 
 
 def test_obs_diff_fails_on_degraded_candidate(tmp_path, capsys):
-    import json
-
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(
-        {"solo": {"sim_tps": 100.0, "events": 1000}}), encoding="utf-8")
-    cand.write_text(json.dumps(
-        {"solo": {"sim_tps": 50.0, "events": 1000}}), encoding="utf-8")
-    assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(cand)]) == 1
+    base = _summary(tmp_path, "base.json", throughput_tps=100.0)
+    cand = _summary(tmp_path, "cand.json", throughput_tps=50.0)
+    assert main(["obs-diff", "--baseline", base, "--candidate", cand]) == 1
     assert "obs-diff: FAILED" in capsys.readouterr().out
 
 
 def test_obs_diff_json_output(tmp_path, capsys):
     import json
 
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(
-        {"solo": {"sim_tps": 100.0}}), encoding="utf-8")
-    assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(base), "--json"]) == 0
+    base = _summary(tmp_path, "base.json", throughput_tps=100.0)
+    assert main(["obs-diff", "--baseline", base, "--candidate", base,
+                 "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
 
@@ -139,30 +135,6 @@ def test_obs_diff_requires_both_paths(tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-
-
-def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
-    # events_per_s is machine-dependent: ungated by default, gated when
-    # --tol-events-rate supplies a tolerance (same opt-in as --tol-wall).
-    import json
-
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(
-        {"solo": {"sim_tps": 100.0, "events_per_s": 100_000.0}}),
-        encoding="utf-8")
-    cand.write_text(json.dumps(
-        {"solo": {"sim_tps": 100.0, "events_per_s": 50_000.0}}),
-        encoding="utf-8")
-    assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(cand)]) == 0
-    capsys.readouterr()
-    assert main(["obs-diff", "--baseline", str(base),
-                 "--candidate", str(cand),
-                 "--tol-events-rate", "0.25"]) == 1
-    out = capsys.readouterr().out
-    assert "obs-diff: FAILED" in out
-    assert "events_per_s" in out
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -193,7 +165,7 @@ def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
      "argument --summary-out: directory '/no/such/dir' does not exist"),
     (["scale", "--smoke", "--out", "/no/such/dir/scale.json"],
      "argument --out: directory '/no/such/dir' does not exist"),
-    (["perfbench", "--smoke", "--out", "/no/such/dir/bench.json"],
+    (["scale", "--peers", "8", "--out", "/no/such/dir/point.json"],
      "argument --out: directory"),
     (["crossval", "--smoke", "--out", "/no/such/dir/crossval.json"],
      "argument --out: directory"),
@@ -202,6 +174,14 @@ def test_obs_diff_events_rate_gate_behind_flag(tmp_path, capsys):
     (["lint", "--out", "/no/such/dir/lint.txt"], "argument --out: directory"),
     (["lint", "--write-baseline", "/no/such/dir/baseline.json"],
      "argument --write-baseline: directory"),
+    # Flags of the retired timing path.
+    (["perfbench", "--repeats", "3"], "unrecognized arguments: --repeats 3"),
+    (["perfbench", "--out", "x.json"], "unrecognized arguments: --out x.json"),
+    (["obs-diff", "--baseline", "a.json", "--candidate", "b.json",
+      "--tol-wall", "0.1"], "unrecognized arguments: --tol-wall 0.1"),
+    (["obs-diff", "--baseline", "a.json", "--candidate", "b.json",
+      "--tol-events-rate", "0.5"],
+     "unrecognized arguments: --tol-events-rate 0.5"),
 ])
 def test_usage_errors_exit_with_code_2(argv, error, capsys):
     # Each command declares only its own flags: a flag that belongs to

@@ -6,7 +6,7 @@ at two levels — ``run_farm`` itself on cheap synthetic tasks across real
 process pools, and the full ``repro crossval`` report byte-identical
 between ``--jobs 4`` and the inline path (crossval carries no wall-clock
 fields, so *byte* equality is meaningful there; perfbench is compared on
-its deterministic fields, since ``wall_s`` measures the host).
+its golden records).
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def test_perfbench_deterministic_fields_identical_across_jobs() -> None:
     farmed = run_perfbench(names, scale="smoke", jobs=2)
 
     def deterministic(report):
-        return [(r.scenario, r.scale, r.seed, r.digest, r.events,
-                 r.sim_tps) for r in report.results]
+        return [(r.scenario, r.scale, r.seed, r.record)
+                for r in report.results]
 
     assert deterministic(inline) == deterministic(farmed)
 
@@ -140,7 +140,7 @@ def test_perfbench_worker_failure_names_the_scenario() -> None:
 
     with pytest.raises(FarmError) as excinfo:
         run_farm(perfbench._scenario_worker,
-                 [("definitely-not-a-scenario", 1, "smoke", 1)],
+                 [("definitely-not-a-scenario", 1, "smoke")],
                  jobs=1, labels=["definitely-not-a-scenario"])
     assert excinfo.value.label == "definitely-not-a-scenario"
     assert "KeyError" in excinfo.value.detail
@@ -157,11 +157,10 @@ def test_cli_perfbench_exits_nonzero_and_names_crashed_scenario(
 
     real_run_scenario = perfbench.run_scenario
 
-    def bomb(name, seed=perfbench.GOLDEN_SEED, scale="full", repeats=1):
+    def bomb(name, seed=perfbench.GOLDEN_SEED, scale="full"):
         if name == "raft-and-leveldb":
             raise RuntimeError("simulated scenario crash")
-        return real_run_scenario(name, seed=seed, scale=scale,
-                                 repeats=repeats)
+        return real_run_scenario(name, seed=seed, scale=scale)
 
     monkeypatch.setattr(perfbench, "run_scenario", bomb)
     code = main(["perfbench", "--smoke", "--jobs", "2",

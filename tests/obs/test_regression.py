@@ -1,196 +1,115 @@
-"""Tests for the perf-regression gate behind ``repro obs-diff``."""
+"""Tests for the trace-summary diff behind ``repro obs-diff``."""
 
 import json
 
 import pytest
 
 from repro.obs.regression import (
-    compare_measurements,
+    compare_summaries,
     diff_files,
-    load_measurements,
+    load_summary,
     render_diff,
 )
 
-BASELINE = {
-    "solo": {"sim_tps": 100.0, "avg_latency_s": 0.5, "events": 1000,
-             "wall_s": 2.0, "events_per_s": 500.0, "scale": "full"},
-    "raft": {"sim_tps": 80.0, "events": 2000, "scale": "full"},
-}
+BASELINE = {"scenario": "solo-AND5-250tps", "throughput_tps": 100.0,
+            "avg_latency_s": 0.5}
 
 
-def clone(measurements):
-    return {name: dict(row) for name, row in measurements.items()}
+def with_values(**values):
+    return dict(BASELINE, **values)
 
 
 def test_self_diff_is_clean():
-    result = compare_measurements(BASELINE, clone(BASELINE))
+    result = compare_summaries(BASELINE, dict(BASELINE))
     assert result.ok
     assert result.regressions == []
-    assert result.missing == result.added == result.skipped == []
+    assert [d.metric for d in result.deltas] == ["throughput_tps",
+                                                 "avg_latency_s"]
 
 
 def test_throughput_drop_beyond_tolerance_is_a_regression():
-    candidate = clone(BASELINE)
-    candidate["solo"]["sim_tps"] = 90.0     # -10% against 5% tolerance
-    result = compare_measurements(BASELINE, candidate)
+    candidate = with_values(throughput_tps=90.0)    # -10% against 5%
+    result = compare_summaries(BASELINE, candidate)
     assert not result.ok
-    assert [(d.scenario, d.metric) for d in result.regressions] == [
-        ("solo", "sim_tps")]
+    assert [d.metric for d in result.regressions] == ["throughput_tps"]
     assert result.regressions[0].change == pytest.approx(-0.10)
 
 
 def test_drop_within_tolerance_passes():
-    candidate = clone(BASELINE)
-    candidate["solo"]["sim_tps"] = 96.0     # -4%
-    assert compare_measurements(BASELINE, candidate).ok
+    assert compare_summaries(BASELINE, with_values(throughput_tps=96.0)).ok
 
 
-def test_latency_and_events_gate_on_increases():
-    candidate = clone(BASELINE)
-    candidate["solo"]["avg_latency_s"] = 0.6
-    candidate["raft"]["events"] = 2400
-    result = compare_measurements(BASELINE, candidate)
-    assert {(d.scenario, d.metric) for d in result.regressions} == {
-        ("solo", "avg_latency_s"), ("raft", "events")}
-    # Improvements in the same direction-sensitive metrics never fail.
-    candidate = clone(BASELINE)
-    candidate["solo"]["avg_latency_s"] = 0.1
-    candidate["raft"]["events"] = 500
-    assert compare_measurements(BASELINE, candidate).ok
+def test_latency_gates_on_increases_only():
+    result = compare_summaries(BASELINE, with_values(avg_latency_s=0.6))
+    assert [d.metric for d in result.regressions] == ["avg_latency_s"]
+    # An improvement in a direction-sensitive metric never fails.
+    assert compare_summaries(BASELINE, with_values(avg_latency_s=0.1)).ok
 
 
 def test_wall_clock_is_ungated_by_default():
-    candidate = clone(BASELINE)
-    candidate["solo"]["wall_s"] = 200.0     # 100x slower
-    result = compare_measurements(BASELINE, candidate)
+    # Host-dependent fields a summary may carry are never compared.
+    baseline = with_values(wall_s=2.0, cpu_s=1.9)
+    candidate = with_values(wall_s=200.0, cpu_s=190.0)
+    result = compare_summaries(baseline, candidate)
     assert result.ok
-    wall = [d for d in result.deltas if d.metric == "wall_s"]
-    assert wall and not wall[0].gated
-    # An explicit wall tolerance turns the gate on.
-    gated = compare_measurements(BASELINE, candidate, wall_tolerance=0.25)
-    assert not gated.ok
-    assert gated.regressions[0].metric == "wall_s"
-
-
-def test_events_per_s_is_report_only_by_default():
-    candidate = clone(BASELINE)
-    candidate["solo"]["events_per_s"] = 1.0
-    result = compare_measurements(BASELINE, candidate)
-    assert result.ok
-    delta = [d for d in result.deltas if d.metric == "events_per_s"][0]
-    assert not delta.gated
-    assert "not gated" in delta.describe()
-
-
-def test_events_rate_tolerance_turns_the_gate_on():
-    candidate = clone(BASELINE)
-    candidate["solo"]["events_per_s"] = 350.0   # -30% kernel throughput
-    result = compare_measurements(BASELINE, candidate,
-                                  events_rate_tolerance=0.20)
-    assert not result.ok
-    assert [(d.scenario, d.metric) for d in result.regressions] == [
-        ("solo", "events_per_s")]
-    # Within tolerance passes.
-    candidate["solo"]["events_per_s"] = 450.0   # -10%
-    assert compare_measurements(BASELINE, candidate,
-                                events_rate_tolerance=0.20).ok
-
-
-def test_events_rate_gate_ignores_improvements():
-    candidate = clone(BASELINE)
-    candidate["solo"]["events_per_s"] = 5000.0  # 10x faster kernel
-    result = compare_measurements(BASELINE, candidate,
-                                  events_rate_tolerance=0.05)
-    assert result.ok
-
-
-def test_events_rate_gate_does_not_touch_other_metrics():
-    # Turning the rate gate on must not silently gate or un-gate wall_s.
-    candidate = clone(BASELINE)
-    candidate["solo"]["wall_s"] = 200.0
-    candidate["solo"]["events_per_s"] = 499.0
-    result = compare_measurements(BASELINE, candidate,
-                                  events_rate_tolerance=0.05)
-    assert result.ok
+    assert {d.metric for d in result.deltas} == {"throughput_tps",
+                                                 "avg_latency_s"}
 
 
 def test_missing_scenario_fails_the_gate():
-    candidate = clone(BASELINE)
-    del candidate["raft"]
-    result = compare_measurements(BASELINE, candidate)
-    assert result.missing == ["raft"]
-    assert not result.ok
-    assert "missing from candidate" in render_diff(result)
-
-
-def test_added_scenarios_are_reported_not_gated():
-    candidate = clone(BASELINE)
-    candidate["kafka"] = {"sim_tps": 1.0}
-    result = compare_measurements(BASELINE, candidate)
-    assert result.added == ["kafka"]
-    assert result.ok
-
-
-def test_scale_mismatch_is_skipped_not_compared():
-    candidate = clone(BASELINE)
-    candidate["solo"]["scale"] = "smoke"
-    candidate["solo"]["sim_tps"] = 1.0      # would regress if compared
-    result = compare_measurements(BASELINE, candidate)
-    assert result.skipped == ["solo"]
-    assert all(d.scenario != "solo" for d in result.deltas)
-    assert result.ok
+    # A candidate without the baseline's scenario (a summary of another
+    # one) is refused, not compared.
+    candidate = with_values(scenario="solo-AND5-60tps")
+    with pytest.raises(ValueError, match="not comparable"):
+        compare_summaries(BASELINE, candidate)
 
 
 def test_zero_baseline_only_regresses_on_change():
-    baseline = {"s": {"avg_latency_s": 0.0}}
-    assert compare_measurements(baseline, {"s": {"avg_latency_s": 0.0}}).ok
-    worse = compare_measurements(baseline, {"s": {"avg_latency_s": 0.1}})
+    baseline = {"avg_latency_s": 0.0}
+    assert compare_summaries(baseline, {"avg_latency_s": 0.0}).ok
+    worse = compare_summaries(baseline, {"avg_latency_s": 0.1})
     assert not worse.ok
     assert worse.regressions[0].change == float("inf")
 
 
 def test_tolerance_is_configurable():
-    candidate = clone(BASELINE)
-    candidate["solo"]["sim_tps"] = 90.0
-    assert not compare_measurements(BASELINE, candidate, tolerance=0.05).ok
-    assert compare_measurements(BASELINE, candidate, tolerance=0.15).ok
+    candidate = with_values(throughput_tps=90.0)
+    assert not compare_summaries(BASELINE, candidate, tolerance=0.05).ok
+    assert compare_summaries(BASELINE, candidate, tolerance=0.15).ok
 
 
-def test_load_measurements_accepts_both_formats(tmp_path):
-    bench = tmp_path / "bench.json"
-    bench.write_text(json.dumps(BASELINE), encoding="utf-8")
-    assert set(load_measurements(str(bench))) == {"solo", "raft"}
-
+def test_load_summary_rejects_other_formats(tmp_path):
     summary = tmp_path / "summary.json"
-    summary.write_text(json.dumps(
-        {"scenario": "solo-AND5-250tps", "throughput_tps": 120.0,
-         "avg_latency_s": 0.4}), encoding="utf-8")
-    loaded = load_measurements(str(summary))
-    assert loaded == {"solo-AND5-250tps": {
-        "scenario": "solo-AND5-250tps", "throughput_tps": 120.0,
-        "avg_latency_s": 0.4}}
+    summary.write_text(json.dumps(BASELINE), encoding="utf-8")
+    assert load_summary(str(summary)) == BASELINE
 
+    # A multi-scenario file (the retired BENCH format) is not a summary.
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps({"solo": {"sim_tps": 100.0}}),
+                     encoding="utf-8")
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_measurements(str(bad))
+    for path in (bench, bad):
+        with pytest.raises(ValueError, match="not a trace summary"):
+            load_summary(str(path))
 
 
 def test_diff_files_end_to_end(tmp_path):
     base = tmp_path / "base.json"
     cand = tmp_path / "cand.json"
     base.write_text(json.dumps(BASELINE), encoding="utf-8")
-    degraded = clone(BASELINE)
-    degraded["raft"]["sim_tps"] = 1.0
-    cand.write_text(json.dumps(degraded), encoding="utf-8")
+    cand.write_text(json.dumps(with_values(throughput_tps=1.0)),
+                    encoding="utf-8")
     result = diff_files(str(base), str(cand))
     assert not result.ok
     text = render_diff(result)
-    assert "PERF REGRESSIONS" in text
+    assert "PERF REGRESSIONS in solo-AND5-250tps" in text
     assert "obs-diff: FAILED" in text
     clean = diff_files(str(base), str(base))
     assert clean.ok
     assert "no regressions against baseline" in render_diff(clean)
+    assert "Compared 2 metric(s)" in render_diff(clean, verbose=True)
     payload = clean.as_dict()
     assert payload["ok"] is True
+    assert payload["scenario"] == "solo-AND5-250tps"
     assert payload["regressions"] == []

@@ -148,3 +148,39 @@ def test_one_sided_window_is_recorded():
     assert report.as_dict()["window"] == [5.0, 10.0]
     # An end-only window starts at the monitors' attach time.
     assert bottleneck_report(tracer, monitors, end=4.0).window == (0.0, 4.0)
+
+
+def _tied_pools(a_first: bool):
+    """Two pools busy 0.3 s of 1 s; ``b.pool`` accumulates it as
+    0.1 + 0.2, so its utilization reads 0.30000000000000004."""
+    sim = Simulation()
+    tracer = Tracer(sim)
+    pools = {name: Resource(sim, capacity=1, name=name)
+             for name in ("a.pool", "b.pool")}
+
+    def hold(resource, spans):
+        for span in spans:
+            yield from resource.use(span)
+
+    sim.process(hold(pools["a.pool"], [0.3]))
+    sim.process(hold(pools["b.pool"], [0.1, 0.2]))
+    order = ["a.pool", "b.pool"] if a_first else ["b.pool", "a.pool"]
+    monitors = {name: watch_resource(pools[name], phase="validate")
+                for name in order}
+    sim.run(until=1.0)
+    return tracer, monitors
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_float_noise_does_not_pick_the_bottleneck(a_first):
+    from repro.obs.queueing import queueing_report
+
+    tracer, monitors = _tied_pools(a_first)
+    utilizations = {name: monitor.utilization()
+                    for name, monitor in monitors.items()}
+    assert 0 < utilizations["b.pool"] - utilizations["a.pool"] < 1e-15
+    report = bottleneck_report(tracer, monitors)
+    assert report.bottleneck.name == "a.pool"
+    assert [usage.name for usage in report.resources] == ["a.pool", "b.pool"]
+    assert [stats.name for stats in queueing_report(monitors).resources] \
+        == ["a.pool", "b.pool"]

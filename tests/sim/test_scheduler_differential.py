@@ -54,7 +54,7 @@ def _heap_digest(name: str, monkeypatch: pytest.MonkeyPatch) -> str:
 def test_heap_and_array_digests_identical_and_golden(
         name: str, monkeypatch: pytest.MonkeyPatch) -> None:
     """Both schedulers replay the committed schedule, bit for bit."""
-    array_digest = perfbench.digest_scenario(name, scale="smoke")
+    array_digest = perfbench.run_scenario(name, scale="smoke").record.digest
     heap_digest = _heap_digest(name, monkeypatch)
     assert array_digest == heap_digest, (
         f"scheduler divergence in {name}: the array scheduler popped a "
@@ -62,7 +62,7 @@ def test_heap_and_array_digests_identical_and_golden(
     goldens = perfbench.load_goldens()
     key = perfbench.golden_key(name, "smoke")
     assert key in goldens, f"no committed golden for {key}"
-    assert array_digest == goldens[key], (
+    assert array_digest == goldens[key].digest, (
         f"both schedulers agree but diverge from the committed golden "
         f"for {key}: the schedule itself changed")
 
